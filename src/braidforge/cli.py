@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .blockreps import check_relation_set, series_constructor
 from .braids import BraidWord, Conjugate, Stabilize, markov_move, parse_braid_word
-from .errors import BraidforgeError
+from .errors import BraidforgeError, InvalidSpec
 from .invariants import (
     InvariantReport,
     markov_invariance_suite,
@@ -209,6 +209,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.m < 1:
+            raise InvalidSpec(f"--m must be at least 1, got {args.m}")
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "invariant":

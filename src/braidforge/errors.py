@@ -38,7 +38,7 @@ class NotNilpotent(BraidforgeError):
 
 
 class InvalidSpec(BraidforgeError):
-    """A pair-operator spec violates its positivity or nonzero conditions."""
+    """A spec or parameter violates its positivity or nonzero conditions."""
 
 
 class PeriodicSpec(BraidforgeError):

@@ -25,6 +25,7 @@ from .braids import (
 )
 from .errors import (
     DimensionMismatch,
+    InvalidSpec,
     NoExactRoot,
     RelationViolated,
     SimplicityUnverified,
@@ -403,7 +404,7 @@ def simplicity_check(
     """
     t = Fraction(t)
     if not t:
-        raise ZeroDivisionError("t must be nonzero")
+        raise InvalidSpec("t must be nonzero")
     blocks = {
         "A": rep.A,
         "A1": rep.A1,

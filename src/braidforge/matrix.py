@@ -2,9 +2,9 @@
 
 RingMatrix stores entries as an immutable tuple of row tuples together with a
 ring descriptor (RATIONAL or LAURENT from the rings module).  Determinants use
-fraction-free Bareiss elimination, inverses go through the adjugate, and
-characteristic polynomials use the Faddeev-LeVerrier recurrence.  Everything
-is exact; nothing is ever rounded.
+fraction-free Bareiss elimination, inverses one fraction-free Gauss-Jordan
+pass (Bareiss 1968), and characteristic polynomials the Faddeev-LeVerrier
+recurrence.  Everything is exact; nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -219,40 +219,54 @@ def mat_det(a: RingMatrix):
     return -det if sign < 0 else det
 
 
-def _minor(a: RingMatrix, i: int, j: int) -> RingMatrix:
-    rows = [
-        [x for cj, x in enumerate(r) if cj != j]
-        for ri, r in enumerate(a.entries)
-        if ri != i
-    ]
-    return RingMatrix(a.ring, rows)
-
-
 def mat_inverse(a: RingMatrix) -> RingMatrix:
-    """Inverse via adjugate over det; requires det to be a unit of the ring."""
+    """Inverse by one fraction-free Gauss-Jordan pass; det must be a unit.
+
+    Bareiss's one-step elimination turns [A | I] into [d*I | d*A^-1], where
+    d = +-det(A) (the sign of the row swaps), and every division by the
+    previous pivot is exact.  One unit inverse of d then gives A^-1.
+    """
     if not a.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     ring = a.ring
     n = a.rows
-    det = mat_det(a)
-    if not ring.is_unit(det):
+    one, zero = ring.one, ring.zero
+    m = [
+        list(r) + [one if i == j else zero for j in range(n)]
+        for i, r in enumerate(a.entries)
+    ]
+    sign = 1
+    prev = one
+    for k in range(n):
+        if ring.is_zero(m[k][k]):
+            pivot = next(
+                (i for i in range(k + 1, n) if not ring.is_zero(m[i][k])), None
+            )
+            if pivot is None:
+                raise NonUnitDeterminant(
+                    f"determinant 0 is not a unit of the {ring.name} ring"
+                )
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            # Columns 0..k are not read again: the left block ends as d*I,
+            # and only the right block is returned.
+            for j in range(k + 1, 2 * n):
+                row[j] = ring.exact_div(p * row[j] - f * pivot_row[j], prev)
+        prev = p
+    if not ring.is_unit(prev):
+        det = prev if sign > 0 else -prev
         raise NonUnitDeterminant(
             f"determinant {ring.to_text(det)} is not a unit of the {ring.name} ring"
         )
-    inv_det = ring.unit_inverse(det)
-    if n == 0:
-        return a
-    if n == 1:
-        return RingMatrix(ring, [[inv_det]])
-    cof = [
-        [
-            mat_det(_minor(a, i, j)) * (ring.one if (i + j) % 2 == 0 else -ring.one)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    # Adjugate is the transposed cofactor matrix.
-    return RingMatrix(ring, [[cof[j][i] * inv_det for j in range(n)] for i in range(n)])
+    inv_d = ring.unit_inverse(prev)
+    return RingMatrix(ring, [[x * inv_d for x in r[n:]] for r in m])
 
 
 def char_poly(a: RingMatrix) -> list:

@@ -23,10 +23,9 @@ from .invariants import (
     simplicity_check,
     tensor_trace_invariant,
 )
-from .matrix import RingMatrix, random_invertible_matrix
+from .matrix import RingMatrix, mat_inverse, random_invertible_matrix
 from .rings import LAURENT, RATIONAL, LaurentPoly
 from .tensors import BraidTensor, tensor_from_matrix_pair
-from .matrix import mat_inverse
 
 INVARIANT_IDS = (
     "tensor-trace",

@@ -79,11 +79,11 @@ def tensor_to_matrix(T: BraidTensor) -> RingMatrix:
     return RingMatrix(T.ring, rows)
 
 
-def matrix_to_tensor(mat: RingMatrix, m: int, pair=None) -> BraidTensor:
+def matrix_to_tensor(mat: RingMatrix, m: int) -> BraidTensor:
     if mat.rows != m * m or mat.cols != m * m:
         raise DimensionMismatch(f"expected a {m * m} x {m * m} matrix")
     return BraidTensor.from_function(
-        m, mat.ring, lambda i1, i2, j1, j2: mat.entries[i1 * m + i2][j1 * m + j2], pair
+        m, mat.ring, lambda i1, i2, j1, j2: mat.entries[i1 * m + i2][j1 * m + j2]
     )
 
 
@@ -119,12 +119,16 @@ def tensor_from_matrix_pair(a: RingMatrix, b: RingMatrix) -> BraidTensor:
 
 
 def tensor_inverse(T: BraidTensor) -> BraidTensor:
-    """The tensor of the inverse operator, refolded to 4-index form."""
-    inv_pair = None
+    """The tensor of the inverse operator, refolded to 4-index form.
+
+    A pair tensor is (b kron a) times the swap S, so its inverse
+    S (b^-1 kron a^-1) = (a^-1 kron b^-1) S is the pair tensor of
+    (b^-1, a^-1), and no m^2 x m^2 inversion is needed.
+    """
     if T.pair is not None:
         a, b = T.pair
-        inv_pair = (mat_inverse(b), mat_inverse(a))
-    return matrix_to_tensor(mat_inverse(tensor_to_matrix(T)), T.m, pair=inv_pair)
+        return tensor_from_matrix_pair(mat_inverse(b), mat_inverse(a))
+    return matrix_to_tensor(mat_inverse(tensor_to_matrix(T)), T.m)
 
 
 def check_braid_equation(

@@ -164,6 +164,41 @@ class TestInvariantCommand:
         assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--mode", "relations", "--m", "0"],
+        ["verify", "--mode", "braid-equation", "--tensor", "identity", "--m", "0"],
+        ["verify", "--mode", "markov", "--m", "0"],
+        ["invariant", "--type", "tensor-trace", "--strands", "2", "--word", "1",
+         "--m", "0"],
+        ["table", "--type", "charpoly-class", "--m", "-1"],
+    ],
+    ids=["relations", "braid-equation", "markov", "invariant", "table"],
+)
+def test_nonpositive_m_is_config_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --m must be at least 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--type", "bracket", "--strands", "2", "--word", "1",
+         "--t", "0"],
+        ["table", "--type", "bracket", "--t", "0"],
+    ],
+    ids=["invariant", "table"],
+)
+def test_zero_bracket_t_is_config_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: t must be nonzero\n"
+
+
 class TestTableCommand:
     @pytest.mark.parametrize(
         "inv", ["tensor-trace", "charpoly-class", "group-trace", "bracket"]
@@ -186,6 +221,25 @@ class TestTableCommand:
         assert all(row[3] for row in rows)
 
 
+def load_pyproject() -> dict:
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    return tomllib.loads((REPO / "pyproject.toml").read_text())
+
+
+def test_version_declared_once():
+    """The distribution reads its version from `braidforge.__version__`."""
+    pyproject = load_pyproject()
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    declared = pyproject["tool"]["setuptools"]["dynamic"]["version"]
+    assert declared == {"attr": "braidforge.__version__"}
+    module, _, attr = declared["attr"].rpartition(".")
+    assert isinstance(getattr(importlib.import_module(module), attr), str)
+
+
 def test_console_script_installed():
     """The `braidforge` console script is declared and runs `cli.main`.
 
@@ -195,12 +249,7 @@ def test_console_script_installed():
     installer writes passes `main`'s exit code to the process. Where a
     `braidforge` distribution is installed, its script must also be on PATH.
     """
-    if sys.version_info >= (3, 11):
-        import tomllib
-    else:
-        tomllib = pytest.importorskip("tomli")
-
-    pyproject = tomllib.loads((REPO / "pyproject.toml").read_text())
+    pyproject = load_pyproject()
     scripts = pyproject["project"]["scripts"]
     assert scripts == {"braidforge": "braidforge.cli:main"}
 

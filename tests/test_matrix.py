@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from braidforge.errors import DimensionMismatch, NonUnitDeterminant
 from braidforge.matrix import (
@@ -116,6 +118,102 @@ class TestInverse:
         rng = random.Random(5)
         m = random_invertible_matrix(2, rng)
         assert m**-2 == mat_inverse(m * m)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0]],
+            [[1, 2], [2, 4]],
+            [[0, 1], [0, 2]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        ],
+    )
+    def test_singular_rational(self, rows):
+        with pytest.raises(NonUnitDeterminant):
+            mat_inverse(RingMatrix(RATIONAL, rows))
+
+    def test_zero_leading_pivot(self):
+        m = RingMatrix(RATIONAL, [[0, 1, 0], [0, 0, 2], [3, 0, 0]])
+        assert mat_inverse(m) == RingMatrix(
+            RATIONAL, [[0, 0, Fraction(1, 3)], [1, 0, 0], [0, Fraction(1, 2), 0]]
+        )
+
+    def test_empty_and_one_by_one(self):
+        empty = RingMatrix(LAURENT, [])
+        assert mat_inverse(empty) == empty
+        assert mat_inverse(RingMatrix(LAURENT, [[-2 * q**3]])) == RingMatrix(
+            LAURENT, [[Fraction(-1, 2) * q**-3]]
+        )
+
+
+def adjugate_inverse(a: RingMatrix) -> RingMatrix:
+    """The reference inverse: cofactors from determinants of minors over det."""
+    n = a.rows
+    inv_det = a.ring.unit_inverse(mat_det(a))
+
+    def minor(i, j):
+        rows = [r for k, r in enumerate(a.entries) if k != i]
+        return RingMatrix(a.ring, [r[:j] + r[j + 1:] for r in rows])
+
+    # Entry (i, j) of the adjugate is the (j, i) cofactor.
+    return RingMatrix(
+        a.ring,
+        [
+            [(-1) ** (i + j) * mat_det(minor(j, i)) * inv_det for j in range(n)]
+            for i in range(n)
+        ],
+    )
+
+
+@st.composite
+def invertible_rational(draw, max_n=7):
+    """Small-entry rational matrices, zeros frequent so that pivots swap."""
+    n = draw(st.integers(0, max_n))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    a = RingMatrix(RATIONAL, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    assume(mat_det(a) != 0)
+    return a
+
+
+@st.composite
+def invertible_laurent(draw, max_n=5):
+    """(L * a) * c T^k: a unit lower-triangular Laurent L, an invertible
+    rational a and a monomial, so the determinant is a unit by construction."""
+    a = draw(invertible_rational(max_n))
+    n = a.rows
+    poly = st.builds(
+        LaurentPoly,
+        st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2),
+    )
+    lower = RingMatrix(
+        LAURENT,
+        [
+            [1 if i == j else draw(poly) if j < i else 0 for j in range(n)]
+            for i in range(n)
+        ],
+    )
+    mono = LaurentPoly.monomial(
+        draw(st.sampled_from([1, -1, 2])), draw(st.integers(-3, 3))
+    )
+    return (lower * a.to_ring(LAURENT)).scale(mono)
+
+
+class TestInverseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(invertible_rational())
+    def test_rational(self, a):
+        inv = mat_inverse(a)
+        ident = RingMatrix.identity(RATIONAL, a.rows)
+        assert a * inv == ident and inv * a == ident
+        assert inv == adjugate_inverse(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(invertible_laurent())
+    def test_laurent(self, a):
+        inv = mat_inverse(a)
+        ident = RingMatrix.identity(LAURENT, a.rows)
+        assert a * inv == ident and inv * a == ident
+        assert inv == adjugate_inverse(a)
 
 
 class TestCharPoly:

@@ -7,7 +7,7 @@ import pytest
 
 from braidforge.braids import BraidWord, parse_braid_word, random_braid_word
 from braidforge.errors import NotScalar, SingularInput, ZeroScalar
-from braidforge.matrix import RingMatrix, kron, random_invertible_matrix
+from braidforge.matrix import RingMatrix, kron, mat_inverse, random_invertible_matrix
 from braidforge.rings import LAURENT, RATIONAL, LaurentPoly
 from braidforge.presets import standard_tensor
 from braidforge.tensors import (
@@ -133,6 +133,30 @@ class TestTensorInverse:
         inv = tensor_inverse(t)
         a, b = t.pair
         assert inv.pair == (b**-1, a**-1)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("ring", [RATIONAL, LAURENT], ids=lambda r: r.name)
+    def test_pair_route_matches_matrix_route(self, m, ring):
+        rng = random.Random(40 + m)
+        # Over LAURENT the pair gets polynomial entries and a monomial factor.
+        up, c = (T - 1, -2 * T**-1) if ring is LAURENT else (3, -2)
+        shear = RingMatrix(
+            ring,
+            [
+                [1 if j == i else up if j == i + 1 else 0 for j in range(m)]
+                for i in range(m)
+            ],
+        )
+        tensors = [standard_tensor(m, 4)] if ring is LAURENT else []
+        for _ in range(3):
+            a, b = (random_invertible_matrix(m, rng).to_ring(ring) for _ in range(2))
+            tensors.append(tensor_from_matrix_pair(a * shear, b.scale(c)))
+        for t in tensors:
+            inv = tensor_inverse(t)
+            assert inv == matrix_to_tensor(mat_inverse(tensor_to_matrix(t)), m)
+            assert tensor_to_matrix(t) * tensor_to_matrix(inv) == RingMatrix.identity(
+                ring, m * m
+            )
 
 
 class TestPartialTraces:
