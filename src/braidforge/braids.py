@@ -148,6 +148,42 @@ def underlying_permutation(w: BraidWord) -> Permutation:
     return p
 
 
+def fold_labels(w: BraidWord, identity, labels_of) -> list:
+    """Per strand (by top position - 1), the product of its labels in order.
+
+    labels_of(letter), called once per distinct letter, gives the labels
+    (left, right) for the strands at positions |letter| and |letter| + 1.
+    Only those two products change per letter.
+    """
+    labels = [identity] * w.strands
+    pairs = {}
+    # at[p] is the top position - 1 of the strand now at position p + 1.
+    at = list(range(w.strands))
+    for letter in w.letters:
+        pair = pairs.get(letter)
+        if pair is None:
+            pair = pairs[letter] = labels_of(letter)
+        left, right = pair
+        i = abs(letter)
+        s, t = at[i - 1], at[i]
+        # A strand's first label needs no product with the identity.
+        labels[s] = left if labels[s] is identity else labels[s] * left
+        labels[t] = right if labels[t] is identity else labels[t] * right
+        at[i - 1], at[i] = t, s
+    return labels
+
+
+def cycle_products(perm: Permutation, labels) -> list:
+    """Per cycle of perm, its positions' labels multiplied in cycle order."""
+    out = []
+    for cycle in perm.cycles():
+        prod = labels[cycle[0] - 1]
+        for j in cycle[1:]:
+            prod = prod * labels[j - 1]
+        out.append(prod)
+    return out
+
+
 def closure_components(w: BraidWord) -> list[list[int]]:
     """Cycles of the underlying permutation; one cycle per link component."""
     return underlying_permutation(w).cycles()

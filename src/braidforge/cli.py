@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .blockreps import check_relation_set, series_constructor
 from .braids import BraidWord, Conjugate, Stabilize, markov_move, parse_braid_word
-from .errors import BraidforgeError, InvalidSpec
+from .errors import BraidforgeError, InvalidSpec, ParseError
 from .invariants import (
     InvariantReport,
     markov_invariance_suite,
@@ -97,7 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _effective_seed(args) -> int:
     env = os.environ.get("BRAIDFORGE_SEED")
-    return int(env) if env else args.seed
+    if not env:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"BRAIDFORGE_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_verify(args) -> int:

@@ -6,7 +6,7 @@ class BraidforgeError(Exception):
 
 
 class ParseError(BraidforgeError):
-    """Malformed textual input (braid word, matrix, polynomial)."""
+    """Malformed textual input (braid word, matrix, polynomial, parameter)."""
 
 
 class IndexOutOfRange(BraidforgeError):

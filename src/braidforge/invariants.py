@@ -19,7 +19,9 @@ from .blockreps import BlockRep, rep_from_word
 from .braids import (
     BraidWord,
     Permutation,
+    cycle_products,
     exponent_sum,
+    fold_labels,
     random_markov_perturbation,
     underlying_permutation,
 )
@@ -87,7 +89,12 @@ class LabelScheme:
     Laurent ring; CONJUGATED_U sets
     b_s = (a_{s-1} ... a_1) u (a_{s-1} ... a_1)^-1 a_s^-1 for a chosen
     invertible u.  Every rule satisfies the compatibility relation
-    a_i b_i = b_{i+1} a_{i+1}, which is re-verified at construction.
+    a_i b_i = b_{i+1} a_{i+1}, checked by verify_compatibility.
+
+    A scheme is immutable, so _cache (outside equality and hash) keeps a_s
+    as given or sampled, b_s, and the pairs verified.  Under T_INVERSE it
+    keeps b_s / T and lifts both to the Laurent ring per call: a constant
+    Laurent matrix takes several times the memory of a rational one.
     """
 
     rule: str
@@ -96,6 +103,8 @@ class LabelScheme:
     constant: RingMatrix | None = None
     seed: int | None = None
     u: RingMatrix | None = None
+    # "verified" -> k such that every pair below k passed.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     RULES = ("INVERSE", "T_INVERSE", "CONJUGATED_U")
 
@@ -111,71 +120,76 @@ class LabelScheme:
     def ring(self):
         return LAURENT if self.rule == "T_INVERSE" else RATIONAL
 
+    def _source(self, s: int) -> RingMatrix:
+        """a_s as given or sampled, before conversion to the rule's ring."""
+        source = self._cache.get(("a", s))
+        if source is None:
+            if self.matrices is not None:
+                if not 1 <= s <= len(self.matrices):
+                    raise DimensionMismatch(f"no matrix a_{s} in the explicit list")
+                source = self.matrices[s - 1]
+            elif self.constant is not None:
+                source = self.constant
+            else:
+                rng = random.Random(self.seed * 1_000_003 + s)
+                source = random_invertible_matrix(self.m, rng)
+            self._cache[("a", s)] = source
+        return source
+
     def a(self, s: int) -> RingMatrix:
-        if self.matrices is not None:
-            if not 1 <= s <= len(self.matrices):
-                raise DimensionMismatch(f"no matrix a_{s} in the explicit list")
-            m = self.matrices[s - 1]
-        elif self.constant is not None:
-            m = self.constant
-        else:
-            rng = random.Random(self.seed * 1_000_003 + s)
-            m = random_invertible_matrix(self.m, rng)
-        return m.to_ring(self.ring)
+        return self._source(s).to_ring(self.ring)
 
     def b(self, s: int) -> RingMatrix:
-        a_s = self.a(s)
-        if self.rule == "INVERSE":
-            return mat_inverse(a_s)
+        stored = self._cache.get(("b", s))
+        if stored is None:
+            if self.rule == "T_INVERSE":
+                stored = mat_inverse(self._source(s))
+            elif self.rule == "INVERSE":
+                stored = mat_inverse(self.a(s))
+            else:
+                prefix = RingMatrix.identity(self.ring, self.m)
+                for r in range(s - 1, 0, -1):
+                    prefix = prefix * self.a(r)
+                u = self.u.to_ring(self.ring)
+                stored = prefix * u * mat_inverse(prefix) * mat_inverse(self.a(s))
+            self._cache[("b", s)] = stored
         if self.rule == "T_INVERSE":
-            return mat_inverse(a_s).scale(LaurentPoly.var())
-        prefix = RingMatrix.identity(self.ring, self.m)
-        for r in range(s - 1, 0, -1):
-            prefix = prefix * self.a(r)
-        u = self.u.to_ring(self.ring)
-        return prefix * u * mat_inverse(prefix) * mat_inverse(a_s)
+            return stored.to_ring(LAURENT).scale(LaurentPoly.var())
+        return stored
 
     def verify_compatibility(self, max_index: int):
         """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used."""
-        for i in range(1, max_index):
+        verified = self._cache.get("verified", 1)
+        for i in range(verified, max_index):
             if self.a(i) * self.b(i) != self.b(i + 1) * self.a(i + 1):
                 raise RelationViolated(
                     f"label scheme fails a_{i} b_{i} = b_{i + 1} a_{i + 1}"
                 )
+        self._cache["verified"] = max(verified, max_index)
 
 
 def gbraid_from_braid(w: BraidWord, scheme: LabelScheme) -> GBraid:
-    """The image of a braid word under t_i -> (swap(i, i+1); a_i, b_i)."""
+    """The image of a braid word under t_i -> (swap(i, i+1); a_i, b_i),
+    t_i^-1 -> (swap(i, i+1); b_i^-1, a_i^-1)."""
     n = w.strands
     if n >= 3:
         scheme.verify_compatibility(n - 1)
-    ring = scheme.ring
-    result = GBraid.identity(n, ring, scheme.m)
-    ident = RingMatrix.identity(ring, scheme.m)
-    for letter in w.letters:
+
+    def labels_of(letter):
         i = abs(letter)
-        labels = [ident] * n
         if letter > 0:
-            labels[i - 1] = scheme.a(i)
-            labels[i] = scheme.b(i)
-        else:
-            labels[i - 1] = mat_inverse(scheme.b(i))
-            labels[i] = mat_inverse(scheme.a(i))
-        step = GBraid(n, Permutation.transposition(n, i), tuple(labels))
-        result = result * step
-    return result
+            return scheme.a(i), scheme.b(i)
+        return mat_inverse(scheme.b(i)), mat_inverse(scheme.a(i))
+
+    identity = RingMatrix.identity(scheme.ring, scheme.m)
+    labels = fold_labels(w, identity, labels_of)
+    return GBraid(n, underlying_permutation(w), tuple(labels))
 
 
 def component_products(g: GBraid) -> list[RingMatrix]:
     """One label product per closure component, following each cycle from its
     minimal position; defined up to conjugacy."""
-    out = []
-    for cycle in g.perm.cycles():
-        prod = RingMatrix.identity(g.labels[0].ring, g.labels[0].rows)
-        for j in cycle:
-            prod = prod * g.labels[j - 1]
-        out.append(prod)
-    return out
+    return cycle_products(g.perm, g.labels)
 
 
 # -- characteristic polynomial invariants -----------------------------------
@@ -215,53 +229,28 @@ def charpoly_family_invariant(
 # -- group trace invariant --------------------------------------------------
 
 
-def _trace_scalar(u: RingMatrix, sample: list[RingMatrix]) -> Fraction:
-    """The scalar lam with tr(u x) = lam tr(x) for all sampled x."""
-    lam = None
-    for x in sample:
-        tx = x.trace()
-        tux = (u * x).trace()
-        if not tx:
-            if tux:
-                raise TraceConditionFailed("tr(ux) nonzero where tr(x) vanishes")
-            continue
-        candidate = tux / tx
-        if lam is None:
-            lam = candidate
-        elif lam != candidate:
-            raise TraceConditionFailed("tr(ux)/tr(x) is not constant on the sample")
-    if lam is None:
-        raise TraceConditionFailed("sample contained no matrix of nonzero trace")
-    return lam
-
-
 def group_trace_invariant(
     w: BraidWord,
     scheme: LabelScheme,
-    sample_size: int = 8,
-    sample_seed: int = 99,
     negative_root: bool = False,
 ) -> Fraction:
     """The normalized product of component-product traces.
 
-    Requires the CONJUGATED_U rule.  The scalars lam1, lam2 with
-    tr(u x) = lam1 tr(x) and tr(u^-1 x) = lam2 tr(x) are measured on a random
-    sample (and must be consistent on it); V is an exact square root of
-    lam2 / lam1, with the principal sign unless negative_root is set.  The
-    result is (V * lam1)^-(n-1) * V^exp * prod of component traces.
+    Requires the CONJUGATED_U rule.  tr(u x) = lam1 tr(x) for all x holds
+    exactly when u = lam1 I (take x = E_ij), and then lam2 = 1 / lam1 for
+    u^-1.  V is an exact square root of lam2 / lam1, with the principal sign
+    unless negative_root is set.  The result is
+    (V * lam1)^-(n-1) * V^exp * prod of component traces.
     """
     if scheme.rule != "CONJUGATED_U":
         raise RelationViolated("group_trace_invariant needs the CONJUGATED_U rule")
-    m = scheme.m
     u = scheme.u.to_ring(RATIONAL)
-    rng = random.Random(sample_seed)
-    sample = [RingMatrix.identity(RATIONAL, m)] + [
-        random_invertible_matrix(m, rng) for _ in range(sample_size)
-    ]
-    lam1 = _trace_scalar(u, sample)
-    lam2 = _trace_scalar(mat_inverse(u), sample)
-    if not lam1 or not lam2:
+    lam1 = u[0, 0]
+    if u != RingMatrix.scalar(RATIONAL, u.rows, lam1):
+        raise TraceConditionFailed("tr(u x) = lam tr(x) needs u = lam I")
+    if not lam1:
         raise TraceConditionFailed("trace scalars must be nonzero")
+    lam2 = 1 / lam1
     v = fraction_sqrt(lam2 / lam1)
     if negative_root:
         v = -v

@@ -65,23 +65,34 @@ def swap_block_rep() -> BlockRep:
     return series_constructor("II", RingMatrix(RATIONAL, [[1]]))
 
 
+def _read_t(t, read, kind: str):
+    try:
+        return read(t)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"t must be {kind}, got {t!r}") from None
+
+
+def _power(t) -> int:
+    return _read_t(str(t), int, "an integer")
+
+
 def invariant_function(invariant: str, m: int, t, seed: int, max_len: int = 6):
     """A callable BraidWord -> value for the named invariant pipeline."""
     if invariant == "tensor-trace":
         tensor = standard_tensor(m, seed)
         return lambda w: tensor_trace_invariant(tensor, w)
     if invariant == "charpoly-class":
-        scheme = inverse_scheme(m, seed)
-        return lambda w: charpoly_class_invariant(w, scheme, int(t))
+        scheme, power = inverse_scheme(m, seed), _power(t)
+        return lambda w: charpoly_class_invariant(w, scheme, power)
     if invariant == "charpoly-family":
-        scheme = t_inverse_scheme(m, seed)
-        return lambda w: charpoly_family_invariant(w, scheme, int(t))
+        scheme, power = t_inverse_scheme(m, seed), _power(t)
+        return lambda w: charpoly_family_invariant(w, scheme, power)
     if invariant == "group-trace":
         scheme = conjugated_u_scheme(m, seed)
         return lambda w: group_trace_invariant(w, scheme)
     if invariant == "bracket":
         rep = swap_block_rep()
-        t = Fraction(t)
+        t = _read_t(t, Fraction, "a rational number")
         verdict = simplicity_check(rep, t, max_len)
         return lambda w: bracket_invariant(rep, w, t, verdict=verdict)
     raise ParseError(f"unknown invariant: {invariant}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braids import BraidWord, Permutation, underlying_permutation
+from .braids import BraidWord, cycle_products, fold_labels, underlying_permutation
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -220,30 +220,36 @@ def partial_trace_scalars(T: BraidTensor):
 
     lambda1 comes from gamma^{i1}_{i2} = sum_j T[i1][j][i2][j]; lambda2 from
     the same contraction of the inverse tensor.  Both matrices must be
-    nonzero scalar multiples of the identity.
+    nonzero scalar multiples of the identity.  For a pair tensor (a, b),
+    gamma = b a and the inverse's is (b a)^-1; lambda1 is a unit, as
+    lambda1^m = det b det a.
     """
+    ring = T.ring
+    if T.pair is not None:
+        a, b = T.pair
+        lam = _scalar_of((b * a).entries, ring)
+        return lam, ring.unit_inverse(lam)
 
-    def scalar_of(tensor: BraidTensor):
+    def gamma(tensor: BraidTensor):
         m = tensor.m
-        ring = tensor.ring
-        gamma = [
-            [
-                sum((tensor[i1, j, i2, j] for j in range(m)), ring.zero)
-                for i2 in range(m)
-            ]
+        return [
+            [sum((tensor[i1, j, i2, j] for j in range(m)), ring.zero) for i2 in range(m)]
             for i1 in range(m)
         ]
-        lam = gamma[0][0]
-        for i1 in range(m):
-            for i2 in range(m):
-                expected = lam if i1 == i2 else ring.zero
-                if gamma[i1][i2] != expected:
-                    raise NotScalar("partial trace is not a scalar matrix")
-        if ring.is_zero(lam):
-            raise ZeroScalar("partial-trace scalar vanished")
-        return lam
 
-    return scalar_of(T), scalar_of(tensor_inverse(T))
+    return _scalar_of(gamma(T), ring), _scalar_of(gamma(tensor_inverse(T)), ring)
+
+
+def _scalar_of(gamma, ring):
+    """The scalar lam with gamma = lam * I; raises unless it exists and is nonzero."""
+    lam = gamma[0][0]
+    for i1, row in enumerate(gamma):
+        for i2, x in enumerate(row):
+            if x != (lam if i1 == i2 else ring.zero):
+                raise NotScalar("partial trace is not a scalar matrix")
+    if ring.is_zero(lam):
+        raise ZeroScalar("partial-trace scalar vanished")
+    return lam
 
 
 class SlotOperator:
@@ -391,33 +397,15 @@ def _trace_by_slots(T: BraidTensor, w: BraidWord):
 
     For a tensor built from the pair (a, b), the generator acts on adjacent
     factors by swapping them and inserting b on one strand and a on the
-    other; the full trace therefore factors over the cycles of the
-    underlying permutation.
+    other (a^-1 and b^-1 for its inverse); the full trace therefore factors
+    over the cycles of the underlying permutation.
     """
     a, b = T.pair
-    ring = T.ring
-    n = w.strands
-    ident = RingMatrix.identity(ring, T.m)
-    a_inv = b_inv = None
-    z = [ident] * (n + 1)
-    # tau[j] tracks which original strand currently sits at position j.
-    tau = list(range(n + 1))
-    for letter in w.letters:
-        i = abs(letter)
-        if letter > 0:
-            z[tau[i]] = z[tau[i]] * b
-            z[tau[i + 1]] = z[tau[i + 1]] * a
-        else:
-            if a_inv is None:
-                a_inv, b_inv = mat_inverse(a), mat_inverse(b)
-            z[tau[i]] = z[tau[i]] * a_inv
-            z[tau[i + 1]] = z[tau[i + 1]] * b_inv
-        tau[i], tau[i + 1] = tau[i + 1], tau[i]
-    perm = underlying_permutation(w)
-    total = ring.one
-    for cycle in perm.cycles():
-        prod = ident
-        for j in cycle:
-            prod = prod * z[j]
+    inverse = (mat_inverse(a), mat_inverse(b)) if any(k < 0 for k in w.letters) else None
+    strand_labels = fold_labels(
+        w, RingMatrix.identity(T.ring, T.m), lambda k: (b, a) if k > 0 else inverse
+    )
+    total = T.ring.one
+    for prod in cycle_products(underlying_permutation(w), strand_labels):
         total = total * prod.trace()
     return total

@@ -199,6 +199,35 @@ def test_zero_bracket_t_is_config_error(argv, capsys):
     assert err == "error: t must be nonzero\n"
 
 
+@pytest.mark.parametrize(
+    "invariant, t, message",
+    [
+        ("bracket", "abc", "t must be a rational number, got 'abc'"),
+        ("charpoly-class", "x", "t must be an integer, got 'x'"),
+        ("charpoly-class", "1/2", "t must be an integer, got '1/2'"),
+        ("charpoly-family", "x", "t must be an integer, got 'x'"),
+        ("charpoly-family", "1/2", "t must be an integer, got '1/2'"),
+    ],
+    ids=["bracket-abc", "class-x", "class-half", "family-x", "family-half"],
+)
+def test_unreadable_t_is_config_error(invariant, t, message, capsys):
+    argv = ["invariant", "--type", invariant, "--strands", "2", "--word", "1", "--t", t]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_unreadable_env_seed_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDFORGE_SEED", "x")
+    code, out, err = run_cli(
+        ["invariant", "--type", "tensor-trace", "--strands", "2", "--word", "1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: BRAIDFORGE_SEED must be an integer, got 'x'\n"
+
+
 class TestTableCommand:
     @pytest.mark.parametrize(
         "inv", ["tensor-trace", "charpoly-class", "group-trace", "bracket"]

@@ -1,11 +1,19 @@
 """G-braids, the five invariants, and Markov invariance."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidforge.braids import BraidWord, parse_braid_word, random_braid_word
+from braidforge.braids import (
+    BraidWord,
+    Permutation,
+    parse_braid_word,
+    random_braid_word,
+)
 from braidforge.errors import (
     RelationViolated,
     SimplicityUnverified,
@@ -26,7 +34,7 @@ from braidforge.invariants import (
     tensor_trace_invariant,
     value_to_jsonable,
 )
-from braidforge.matrix import RingMatrix, random_invertible_matrix
+from braidforge.matrix import RingMatrix, mat_inverse, random_invertible_matrix
 from braidforge.presets import (
     conjugated_u_scheme,
     inverse_scheme,
@@ -41,6 +49,44 @@ T = LaurentPoly.var()
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
+
+
+SCHEMES = {
+    "INVERSE": lambda seed: inverse_scheme(2, seed),
+    "T_INVERSE": lambda seed: t_inverse_scheme(2, seed),
+    # A non-scalar u keeps the prefix conjugation in b_s.
+    "CONJUGATED_U": lambda seed: LabelScheme(
+        "CONJUGATED_U", 2, seed=seed, u=random_invertible_matrix(2, random.Random(seed))
+    ),
+}
+
+
+@st.composite
+def braid_words(draw, max_strands=7, max_letters=8):
+    strands = draw(st.integers(1, max_strands))
+    if strands == 1:
+        return BraidWord(1)
+    letter = st.builds(
+        lambda i, sign: i * sign, st.integers(1, strands - 1), st.sampled_from((1, -1))
+    )
+    return BraidWord(strands, tuple(draw(st.lists(letter, max_size=max_letters))))
+
+
+def letter_by_letter(w: BraidWord, scheme: LabelScheme) -> GBraid:
+    """The G-braid of w as a product of one step G-braid per letter."""
+    n = w.strands
+    ident = RingMatrix.identity(scheme.ring, scheme.m)
+    result = GBraid.identity(n, scheme.ring, scheme.m)
+    for letter in w.letters:
+        i = abs(letter)
+        labels = [ident] * n
+        if letter > 0:
+            labels[i - 1], labels[i] = scheme.a(i), scheme.b(i)
+        else:
+            labels[i - 1] = mat_inverse(scheme.b(i))
+            labels[i] = mat_inverse(scheme.a(i))
+        result = result * GBraid(n, Permutation.transposition(n, i), tuple(labels))
+    return result
 
 
 class TestGBraid:
@@ -88,6 +134,51 @@ class TestLabelSchemes:
         scheme = t_inverse_scheme(2, 8)
         a = scheme.a(1)
         assert scheme.b(1) == (a**-1).scale(T)
+
+    def test_scheme_equals_fresh_twin_after_use(self):
+        w = BraidWord(5, (1, -2, 3, -4, 2))
+        for make in SCHEMES.values():
+            scheme = make(5)
+            gbraid_from_braid(w, scheme)
+            twin = make(5)
+            assert scheme == twin
+            assert hash(scheme) == hash(twin)
+            assert [(scheme.a(s), scheme.b(s)) for s in range(1, 5)] == [
+                (twin.a(s), twin.b(s)) for s in range(1, 5)
+            ]
+
+    def test_verify_compatibility_checks_each_new_pair(self):
+        # Every rule is compatible by construction, so a scheme that breaks
+        # a_2 b_2 = b_3 a_3 has to override b.
+        class BrokenAtThree(LabelScheme):
+            def b(self, s):
+                label = super().b(s)
+                return label.scale(2) if s == 3 else label
+
+        rng = random.Random(3)
+        matrices = tuple(random_invertible_matrix(2, rng) for _ in range(3))
+        scheme = BrokenAtThree("INVERSE", 2, matrices=matrices)
+        scheme.verify_compatibility(2)
+        for _ in range(2):
+            with pytest.raises(RelationViolated):
+                scheme.verify_compatibility(3)
+        with pytest.raises(RelationViolated):
+            gbraid_from_braid(BraidWord(4, (1,)), scheme)
+
+
+class TestFoldOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(SCHEMES)),
+        st.integers(0, 1 << 16),
+        st.lists(braid_words(), min_size=1, max_size=3),
+    )
+    def test_fold_matches_letter_by_letter_product(self, rule, seed, words):
+        # One scheme serves every word, so later words read its cache; the
+        # oracle uses a fresh twin with an empty cache.
+        scheme = SCHEMES[rule](seed)
+        for w in words:
+            assert gbraid_from_braid(w, scheme) == letter_by_letter(w, replace(scheme))
 
 
 class TestCharpolyClass:
@@ -142,6 +233,13 @@ class TestGroupTrace:
 
     def test_non_scalar_u_fails(self):
         u = RingMatrix(RATIONAL, [[2, 0], [0, 3]])
+        scheme = LabelScheme("CONJUGATED_U", 2, seed=1, u=u)
+        with pytest.raises(TraceConditionFailed):
+            group_trace_invariant(TREFOIL, scheme)
+
+    def test_equal_diagonal_non_scalar_u_fails(self):
+        # tr(u x) = 3 tr(x) + x[1][0]: the diagonal alone does not decide.
+        u = RingMatrix(RATIONAL, [[3, 1], [0, 3]])
         scheme = LabelScheme("CONJUGATED_U", 2, seed=1, u=u)
         with pytest.raises(TraceConditionFailed):
             group_trace_invariant(TREFOIL, scheme)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidforge.braids import BraidWord, parse_braid_word, random_braid_word
 from braidforge.errors import NotScalar, SingularInput, ZeroScalar
@@ -196,6 +198,26 @@ class TestPartialTraces:
         with pytest.raises(NotScalar):
             partial_trace_scalars(bad)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("ring", [RATIONAL, LAURENT], ids=lambda r: r.name)
+    def test_pair_route_matches_four_index_route(self, m, ring):
+        rng = random.Random(60 + m)
+        c = -2 * T**3 if ring is LAURENT else Fraction(-2, 3)
+        tensors = [standard_tensor(m, seed) for seed in range(5)] if ring is LAURENT else []
+        for _ in range(3):
+            a = random_invertible_matrix(m, rng).to_ring(ring)
+            tensors.append(tensor_from_matrix_pair(a, mat_inverse(a).scale(c)))
+        for t in tensors:
+            unpaired = BraidTensor(t.m, t.ring, t.entries)
+            assert partial_trace_scalars(t) == partial_trace_scalars(unpaired)
+
+    def test_pair_with_non_scalar_product_fails(self):
+        a = RingMatrix(RATIONAL, [[1, 1], [0, 1]])
+        t = tensor_from_matrix_pair(a, RingMatrix.identity(RATIONAL, 2))
+        for tensor in (t, BraidTensor(t.m, t.ring, t.entries)):
+            with pytest.raises(NotScalar):
+                partial_trace_scalars(tensor)
+
     def test_zero_scalar(self):
         zero = BraidTensor(
             2, RATIONAL, [[[[Fraction(0)] * 2] * 2] * 2] * 2
@@ -249,6 +271,17 @@ class TestTraceRoutes:
             contract = tensor_rep_trace(t, w, "contract")
             slots = tensor_rep_trace(t, w, "slots")
             assert dense == contract == slots
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 1 << 16), st.data())
+    def test_slots_match_contract_random(self, seed, data):
+        strands = data.draw(st.integers(2, 5))
+        letter = st.builds(
+            lambda i, sign: i * sign, st.integers(1, strands - 1), st.sampled_from((1, -1))
+        )
+        w = BraidWord(strands, tuple(data.draw(st.lists(letter, max_size=6))))
+        t = standard_tensor(2, seed)
+        assert tensor_rep_trace(t, w, "slots") == tensor_rep_trace(t, w, "contract")
 
     def test_empty_word_trace(self):
         t = standard_tensor(2, 1)
