@@ -54,12 +54,12 @@ from .matrix import RingMatrix, char_poly, kron, mat_det, mat_inverse
 from .rings import LAURENT, RATIONAL, LaurentPoly, parse_laurent
 from .tensors import (
     BraidTensor,
+    SlotOperator,
     check_braid_equation,
     partial_trace_scalars,
     swap_tensor,
     identity_tensor,
     tensor_from_matrix_pair,
-    tensor_generator_operator,
     tensor_rep_trace,
     tensor_to_matrix,
 )

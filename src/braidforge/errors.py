@@ -65,6 +65,10 @@ class ZeroScalar(BraidforgeError):
     """A partial-trace scalar vanished; the trace normalization is undefined."""
 
 
+class NoMatrixPair(BraidforgeError):
+    """A route that needs a tensor built from a matrix pair got a tensor without one."""
+
+
 class NoExactRoot(BraidforgeError):
     """A required square root does not exist exactly in the ring."""
 

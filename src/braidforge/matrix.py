@@ -150,14 +150,18 @@ class RingMatrix:
             raise DimensionMismatch("power of a non-square matrix")
         if n < 0:
             return mat_inverse(self) ** (-n)
-        result = RingMatrix.identity(self.ring, self.rows)
+        if n == 0:
+            return RingMatrix.identity(self.ring, self.rows)
+        # Binary powering from the lowest set bit, squaring only below the top bit.
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(self.ring, list(zip(*self.entries)) if self.entries else [])

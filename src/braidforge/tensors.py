@@ -6,6 +6,12 @@ flattened row-major as i1*m + i2.  A tensor satisfying the braid equation and
 whose m^2 x m^2 matrix is invertible yields a braid-group representation by
 acting on adjacent factors of V tensored n times.
 
+The braid equation is decided two ways.  A tensor built from a matrix pair
+(a, b) passes exactly when a b = b a (period 2: two such identities across
+the pairs), which a few m x m products settle.  Any other tensor, or a pair
+that fails its identity, has both sides composed from sparse slot operators
+on three strands and compared entry by entry, which lists the violations.
+
 Traces of word images can be computed three ways: densely (small n only), by
 sparse row contraction, or, for tensors built from a matrix pair, by folding
 the word onto per-strand matrix products and multiplying cycle traces.
@@ -19,6 +25,7 @@ from .braids import BraidWord, cycle_products, fold_labels, underlying_permutati
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NoMatrixPair,
     NotScalar,
     SingularInput,
     ZeroScalar,
@@ -136,83 +143,71 @@ def check_braid_equation(
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Violations of the braid equation, empty iff the tensor(s) pass.
 
-    With one tensor the period-1 equation is checked; with two, the period-2
-    pair of equations.  Each violation is (relation name, (i1,i2,i3,j1,j2,j3)).
+    With one tensor the period-1 equation "viii" is checked; with two, the
+    period-2 pair "xv" and "xvi".  Each violation is (relation name,
+    (i1,i2,i3,j1,j2,j3)), listed relation by relation in lexicographic order
+    of the index tuple.
+
+    Pair tensors whose matrices satisfy the pair identities pass after a few
+    m x m products (see _pair_identities_hold).  Every other case, a failed
+    pair identity included, composes the slot operators of both sides on
+    three strands and compares them entry by entry, so each failure is
+    reported from the tensor entries.
     """
+    if U is not None and (U.m != T.m or U.ring is not T.ring):
+        raise DimensionMismatch("both tensors must share the local dimension and ring")
+    if _pair_identities_hold(T, T if U is None else U):
+        return []
     if U is None:
-        return _check_one_equation(T, T, T, "viii")
-    if U.m != T.m:
-        raise DimensionMismatch("both tensors must share the local dimension")
-    return _check_one_equation(T, U, T, "xv") + _check_xvi(T, U)
+        return _violations(T, T, "viii", _SLOT_ORDER)
+    return _violations(T, U, "xv", _SLOT_ORDER) + _violations(U, T, "xvi", _XVI_ORDER)
 
 
-def _check_one_equation(
-    T1: BraidTensor, T2: BraidTensor, T3: BraidTensor, name: str
+# The index tuple a relation reports, as positions in (I1,I2,I3,J1,J2,J3) of
+# R12(A) R23(B) R12(A) = R23(B) R12(A) R23(B).  "xvi" is this equation with
+# A = U, B = T, read at (i2,i3,i1,j2,j3,j1).
+_SLOT_ORDER = (0, 1, 2, 3, 4, 5)
+_XVI_ORDER = (2, 0, 1, 5, 3, 4)
+
+
+def _pair_identities_hold(T: BraidTensor, U: BraidTensor) -> bool:
+    """Whether pair tensors T (a1, b1) and U (a2, b2) satisfy "xv" and "xvi".
+
+    A pair tensor sends x (x) y to b y (x) a x.  So R12(T) R23(U) R12(T) sends
+    x1 (x) x2 (x) x3 to b1 b2 x3 (x) a1 b1 x2 (x) a2 a1 x1, and
+    R23(U) R12(T) R23(U) to b1 b2 x3 (x) b2 a2 x2 (x) a2 a1 x1: the outer
+    factors are invertible, so "xv" holds exactly when a1 b1 = b2 a2, and
+    "xvi" (roles swapped) when a2 b2 = b1 a1.  With U = T both read a b = b a,
+    the period-1 equation "viii".
+    """
+    if T.pair is None or U.pair is None:
+        return False
+    (a1, b1), (a2, b2) = T.pair, U.pair
+    return a1 * b1 == b2 * a2 and (U is T or a2 * b2 == b1 * a1)
+
+
+def _violations(
+    A: BraidTensor, B: BraidTensor, name: str, order: tuple[int, ...]
 ) -> list[tuple[str, tuple[int, ...]]]:
-    # sum_k T1^{i1 i2}_{k1 k3} T2^{k3 i3}_{k2 j3} T3^{k1 k2}_{j1 j2}
-    #   = sum_k T2^{i2 i3}_{k1 k3} T3^{i1 k1}_{j1 k2} T2'^{k2 k3}_{j2 j3}
-    # with the standard role pattern (T, U, T) vs (U, T, U).
-    m = T1.m
-    ring = T1.ring
-    rng = range(m)
-    out = []
-    for i1 in rng:
-        for i2 in rng:
-            for i3 in rng:
-                for j1 in rng:
-                    for j2 in rng:
-                        for j3 in rng:
-                            lhs = ring.zero
-                            rhs = ring.zero
-                            for k1 in rng:
-                                for k2 in rng:
-                                    for k3 in rng:
-                                        lhs = lhs + (
-                                            T1[i1, i2, k1, k3]
-                                            * T2[k3, i3, k2, j3]
-                                            * T1[k1, k2, j1, j2]
-                                        )
-                                        rhs = rhs + (
-                                            T2[i2, i3, k1, k3]
-                                            * T1[i1, k1, j1, k2]
-                                            * T2[k2, k3, j2, j3]
-                                        )
-                            if lhs != rhs:
-                                out.append((name, (i1, i2, i3, j1, j2, j3)))
-    return out
+    """Where R12(A) R23(B) R12(A) and R23(B) R12(A) R23(B) differ on three strands."""
+    m, ring = A.m, A.ring
+    r12, r23 = SlotOperator(A, 3, 1), SlotOperator(B, 3, 2)
 
+    def product(*ops: SlotOperator) -> dict[int, dict[int, object]]:
+        rows: dict[int, dict[int, object]] = {r: {r: ring.one} for r in range(m**3)}
+        for op in ops:
+            rows = op.apply_rows(rows)
+        return rows
 
-def _check_xvi(T1: BraidTensor, T2: BraidTensor) -> list[tuple[str, tuple[int, ...]]]:
-    # sum_k T2^{i2 i3}_{k1 k3} T1^{k3 i1}_{k2 j1} T2^{k1 k2}_{j2 j3}
-    #   = sum_k T1^{i3 i1}_{k1 k3} T2^{i2 k1}_{j2 k2} T1^{k2 k3}_{j3 j1}
-    m = T1.m
-    ring = T1.ring
-    rng = range(m)
+    lhs, rhs = product(r12, r23, r12), product(r23, r12, r23)
     out = []
-    for i1 in rng:
-        for i2 in rng:
-            for i3 in rng:
-                for j1 in rng:
-                    for j2 in rng:
-                        for j3 in rng:
-                            lhs = ring.zero
-                            rhs = ring.zero
-                            for k1 in rng:
-                                for k2 in rng:
-                                    for k3 in rng:
-                                        lhs = lhs + (
-                                            T2[i2, i3, k1, k3]
-                                            * T1[k3, i1, k2, j1]
-                                            * T2[k1, k2, j2, j3]
-                                        )
-                                        rhs = rhs + (
-                                            T1[i3, i1, k1, k3]
-                                            * T2[i2, k1, j2, k2]
-                                            * T1[k2, k3, j3, j1]
-                                        )
-                            if lhs != rhs:
-                                out.append(("xvi", (i1, i2, i3, j1, j2, j3)))
-    return out
+    for row, left in lhs.items():
+        right = rhs[row]
+        for col in left.keys() | right.keys():
+            if left.get(col, ring.zero) != right.get(col, ring.zero):
+                pos = _config_unrank(row, m, 3) + _config_unrank(col, m, 3)
+                out.append(tuple(pos[k] for k in order))
+    return [(name, idx) for idx in sorted(out)]
 
 
 def partial_trace_scalars(T: BraidTensor):
@@ -335,10 +330,6 @@ def _config_unrank(rank: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(cfg)
 
 
-def tensor_generator_operator(T: BraidTensor, strands: int, index: int) -> SlotOperator:
-    return SlotOperator(T, strands, index)
-
-
 def tensor_rep_trace(T: BraidTensor, w: BraidWord, method: str = "auto"):
     """Exact trace of the word's image in the n-fold tensor representation.
 
@@ -400,6 +391,8 @@ def _trace_by_slots(T: BraidTensor, w: BraidWord):
     other (a^-1 and b^-1 for its inverse); the full trace therefore factors
     over the cycles of the underlying permutation.
     """
+    if T.pair is None:
+        raise NoMatrixPair("the slots trace needs a tensor built from a matrix pair")
     a, b = T.pair
     inverse = (mat_inverse(a), mat_inverse(b)) if any(k < 0 for k in w.letters) else None
     strand_labels = fold_labels(

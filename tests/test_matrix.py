@@ -51,6 +51,38 @@ class TestMatMul:
             a * a
 
 
+class TestPower:
+    @pytest.mark.parametrize(
+        "m",
+        [RingMatrix(RATIONAL, [[2, 1], [1, 1]]), burau_block()],
+        ids=["rational", "laurent"],
+    )
+    def test_matches_repeated_product(self, m):
+        ident = RingMatrix.identity(m.ring, 2)
+        assert m**0 == ident
+        inv = mat_inverse(m)
+        for k in range(-3, 10):
+            expected = ident
+            for _ in range(abs(k)):
+                expected = expected * (m if k > 0 else inv)
+            assert m**k == expected
+
+    def test_product_count(self, monkeypatch):
+        products = []
+        mul = RingMatrix.__mul__
+
+        def counting_mul(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(RingMatrix, "__mul__", counting_mul)
+        m = burau_block()
+        for k, count in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+            products.clear()
+            m**k
+            assert len(products) == count, k
+
+
 class TestDeterminant:
     def test_identity(self):
         assert mat_det(RingMatrix.identity(RATIONAL, 4)) == Fraction(1)

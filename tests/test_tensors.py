@@ -1,5 +1,6 @@
 """Braid tensors, the braid equation, partial traces, and trace routes."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,19 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidforge.braids import BraidWord, parse_braid_word, random_braid_word
-from braidforge.errors import NotScalar, SingularInput, ZeroScalar
+from braidforge.errors import (
+    DimensionMismatch,
+    NoMatrixPair,
+    NotScalar,
+    SingularInput,
+    ZeroScalar,
+)
 from braidforge.matrix import RingMatrix, kron, mat_inverse, random_invertible_matrix
 from braidforge.rings import LAURENT, RATIONAL, LaurentPoly
 from braidforge.presets import standard_tensor
 from braidforge.tensors import (
     BraidTensor,
+    SlotOperator,
     check_braid_equation,
     identity_tensor,
     matrix_to_tensor,
     partial_trace_scalars,
     swap_tensor,
     tensor_from_matrix_pair,
-    tensor_generator_operator,
     tensor_inverse,
     tensor_rep_trace,
     tensor_to_matrix,
@@ -86,6 +93,51 @@ class TestTensorFromMatrixPair:
         )
 
 
+def braid_equation_oracle(T1, T2, name):
+    """The nine-deep loop: where R12(T1) R23(T2) R12(T1) != R23(T2) R12(T1) R23(T2).
+
+    For name "xvi" the roles are swapped (T1 = U, T2 = T) and the equation is
+    read at (i2, i3, i1, j2, j3, j1).
+    """
+    m, ring = T1.m, T1.ring
+    rng = range(m)
+    out = []
+    for i1, i2, i3, j1, j2, j3 in itertools.product(rng, repeat=6):
+        if name == "xvi":
+            at = (i2, i3, i1, j2, j3, j1)
+        else:
+            at = (i1, i2, i3, j1, j2, j3)
+        lhs = rhs = ring.zero
+        for k1, k2, k3 in itertools.product(rng, repeat=3):
+            lhs = lhs + (
+                T1[at[0], at[1], k1, k3] * T2[k3, at[2], k2, at[5]] * T1[k1, k2, at[3], at[4]]
+            )
+            rhs = rhs + (
+                T2[at[1], at[2], k1, k3] * T1[at[0], k1, at[3], k2] * T2[k2, k3, at[4], at[5]]
+            )
+        if lhs != rhs:
+            out.append((name, (i1, i2, i3, j1, j2, j3)))
+    return out
+
+
+def oracle_violations(T, U=None):
+    if U is None:
+        return braid_equation_oracle(T, T, "viii")
+    return braid_equation_oracle(T, U, "xv") + braid_equation_oracle(U, T, "xvi")
+
+
+def unpaired(t):
+    return BraidTensor(t.m, t.ring, t.entries)
+
+
+small_tensors = st.builds(
+    lambda xs: BraidTensor.from_function(
+        2, RATIONAL, lambda i1, i2, j1, j2: xs[((i1 * 2 + i2) * 2 + j1) * 2 + j2]
+    ),
+    st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+)
+
+
 class TestBraidEquation:
     def test_identity_passes(self):
         assert check_braid_equation(identity_tensor(2, RATIONAL)) == []
@@ -120,6 +172,65 @@ class TestBraidEquation:
         b = random_invertible_matrix(2, rng).to_ring(LAURENT)
         t2 = tensor_from_matrix_pair(b, ring_t * b**-1)
         assert check_braid_equation(t1, t2) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_tensors)
+    def test_period_one_matches_oracle(self, t):
+        assert check_braid_equation(t) == oracle_violations(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_tensors, small_tensors)
+    def test_period_two_matches_oracle(self, t, u):
+        assert check_braid_equation(t, u) == oracle_violations(t, u)
+
+    def test_failing_m3_matches_oracle(self):
+        t = BraidTensor.from_function(
+            3, RATIONAL, lambda i1, i2, j1, j2: (i1 * 7 + i2 * 5 + j1 * 3 + j2 + 1) % 4 - 1
+        )
+        violations = check_braid_equation(t)
+        assert violations != []
+        assert violations == oracle_violations(t)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_non_commuting_pair_lists_entries(self, m):
+        rng = random.Random(70 + m)
+        a, b = (random_invertible_matrix(m, rng) for _ in range(2))
+        assert a * b != b * a
+        t = tensor_from_matrix_pair(a, b)
+        violations = check_braid_equation(t)
+        assert violations != []
+        assert violations == check_braid_equation(unpaired(t)) == oracle_violations(t)
+
+    def test_period_two_pair_only_xvi_fails(self):
+        rng = random.Random(81)
+        a1, b1, a2 = (random_invertible_matrix(2, rng) for _ in range(3))
+        b2 = a1 * b1 * mat_inverse(a2)
+        assert b2 * a2 == a1 * b1 and a2 * b2 != b1 * a1
+        t, u = tensor_from_matrix_pair(a1, b1), tensor_from_matrix_pair(a2, b2)
+        violations = check_braid_equation(t, u)
+        assert violations != [] and {name for name, _ in violations} == {"xvi"}
+        assert violations == check_braid_equation(unpaired(t), unpaired(u))
+        assert violations == oracle_violations(t, u)
+
+    @pytest.mark.parametrize("seed", [1, 8])
+    def test_unpaired_standard_m3_matches_oracle(self, seed):
+        t = unpaired(standard_tensor(3, seed))
+        assert check_braid_equation(t) == oracle_violations(t) == []
+
+    def test_passing_pairs_skip_slot_operators(self, monkeypatch):
+        def fail(self, rows):
+            raise AssertionError("pair tensors that pass need no slot operator")
+
+        t, u = standard_tensor(3, 2), standard_tensor(2, 3)
+        monkeypatch.setattr(SlotOperator, "apply_rows", fail)
+        assert check_braid_equation(t) == []
+        assert check_braid_equation(u, standard_tensor(2, 4)) == []
+
+    def test_period_two_rings_must_match(self):
+        with pytest.raises(DimensionMismatch):
+            check_braid_equation(standard_tensor(2, 0), swap_tensor(2, RATIONAL))
+        with pytest.raises(DimensionMismatch):
+            check_braid_equation(swap_tensor(2, RATIONAL), swap_tensor(3, RATIONAL))
 
 
 class TestTensorInverse:
@@ -229,20 +340,20 @@ class TestPartialTraces:
 class TestSlotOperators:
     def test_generator_matrix_matches_kron(self):
         t = standard_tensor(2, 2)
-        op = tensor_generator_operator(t, 3, 1)
+        op = SlotOperator(t, 3, 1)
         expected = kron(tensor_to_matrix(t), RingMatrix.identity(LAURENT, 2))
         assert op.to_matrix() == expected
 
     def test_generator_second_slot(self):
         t = standard_tensor(2, 2)
-        op = tensor_generator_operator(t, 3, 2)
+        op = SlotOperator(t, 3, 2)
         expected = kron(RingMatrix.identity(LAURENT, 2), tensor_to_matrix(t))
         assert op.to_matrix() == expected
 
     def test_braid_relation_as_matrices(self):
         t = standard_tensor(2, 6)
-        g1 = tensor_generator_operator(t, 3, 1).to_matrix()
-        g2 = tensor_generator_operator(t, 3, 2).to_matrix()
+        g1 = SlotOperator(t, 3, 1).to_matrix()
+        g2 = SlotOperator(t, 3, 2).to_matrix()
         assert g1 * g2 * g1 == g2 * g1 * g2
 
 
@@ -295,6 +406,13 @@ class TestTraceRoutes:
         w = parse_braid_word("1 2", 3)
         assert tensor_rep_trace(t, w, "dense") == Fraction(2)
         assert tensor_rep_trace(t, BraidWord(3), "dense") == Fraction(8)
+
+    def test_slots_need_a_pair(self):
+        t = swap_tensor(2, RATIONAL)
+        w = parse_braid_word("1 2", 3)
+        with pytest.raises(NoMatrixPair, match="matrix pair"):
+            tensor_rep_trace(t, w, "slots")
+        assert tensor_rep_trace(t, w) == tensor_rep_trace(t, w, "contract")
 
     def test_unknown_method(self):
         t = standard_tensor(2, 1)
