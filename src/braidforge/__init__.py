@@ -26,7 +26,6 @@ from .blockreps import (
     PairOperators,
     burau_quadratic_check,
     burau_rep,
-    block_generator_matrix,
     check_relation_set,
     pair_to_block_rep,
     pair_to_triangle_rep,

@@ -4,7 +4,10 @@ The central object is a BlockRep: four k x k blocks (A, B, C, D) whose 2k x 2k
 block operator [[A, B], [C, D]] is invertible and satisfies the braid-algebra
 relation catalog.  Placing that operator on adjacent strand slots of an
 nk-dimensional space yields matrices for the braid generators; negative
-letters use the blocks (A1, B1, C1, D1) of the inverse operator.
+letters use the blocks (A1, B1, C1, D1) of the inverse operator.  A word's
+matrix is never multiplied out densely: each generator is the identity
+outside its 2k-wide band, so rep_from_word applies a letter as a banded
+update of 2k columns.
 
 Relation catalogs for the quotient algebras are stored as polynomial
 identities in named slots and checked by direct matrix evaluation.  Catalog
@@ -184,15 +187,13 @@ def check_relation_set(assignment: dict[str, RingMatrix], set_id: str) -> list[s
     if len(sizes) != 1:
         raise DimensionMismatch("all slot matrices must be square of equal size")
     (n,) = sizes
-    some = assignment[slots[0]]
-    ring = some.ring
-    ident = RingMatrix.identity(ring, n)
+    ring = assignment[slots[0]].ring
     violated = []
     for label, monomials in RELATION_SETS[set_id]:
         total = RingMatrix.zeros(ring, n)
         for coeff, mono in monomials:
-            term = ident
-            for s in mono:
+            term = assignment[mono[0]]
+            for s in mono[1:]:
                 term = term * assignment[s]
             total = total + term.scale(coeff)
         if not total.is_zero():
@@ -362,58 +363,50 @@ def square_zero_assignment(
     return {"x": a, "y": ident + c, "t": b}
 
 
-def block_generator_matrix(
-    rep: BlockRep, strands: int, index: int, period2: BlockRep | None = None
-) -> RingMatrix:
-    """The nk x nk matrix of generator t_index, identity off the active slots.
-
-    When period2 is given, odd generator indices use rep and even indices use
-    period2 (both must share the block size and ring).
-    """
-    return _generator_matrix(rep, strands, index, period2, inverse=False)
-
-
-def _generator_matrix(
-    rep: BlockRep,
-    strands: int,
-    index: int,
-    period2: BlockRep | None,
-    inverse: bool,
-) -> RingMatrix:
-    if not 1 <= index <= strands - 1:
-        raise IndexOutOfRange(
-            f"generator index {index} out of range for {strands} strands"
-        )
-    active = rep
-    if period2 is not None:
-        if period2.k != rep.k or period2.ring is not rep.ring:
-            raise DimensionMismatch("period-2 companion must match block size and ring")
-        if index % 2 == 0:
-            active = period2
-    op = active.inverse_operator() if inverse else active.operator()
-    k = rep.k
-    ring = rep.ring
-    n = strands
-    out = [
-        [ring.one if i == j else ring.zero for j in range(n * k)] for i in range(n * k)
-    ]
-    base = (index - 1) * k
-    for i in range(2 * k):
-        for j in range(2 * k):
-            out[base + i][base + j] = op.entries[i][j]
-    return RingMatrix(ring, out)
-
-
 def rep_from_word(
     rep: BlockRep, w: BraidWord, period2: BlockRep | None = None
 ) -> RingMatrix:
-    """The representation matrix of a braid word, letters in application order."""
-    result = RingMatrix.identity(rep.ring, w.strands * rep.k)
+    """The representation matrix of a braid word, letters in application order.
+
+    Generator t_i is the identity outside its 2k x 2k block at offset
+    (i - 1) * k, so right-multiplying by it rewrites only those 2k columns:
+    each row's band is replaced by band * op, O(nk * (2k)^2) per letter
+    instead of a dense (nk)^3 product; zero band entries contribute no
+    terms, so a row whose band is zero is left as it is.  Negative letters
+    use the inverse operator.  When period2 is given, odd indices use rep and even indices
+    use period2 (both must share the block size and ring).
+    """
+    k = rep.k
+    ring = rep.ring
+    if period2 is not None and (period2.k != k or period2.ring is not ring):
+        raise DimensionMismatch("period-2 companion must match block size and ring")
+    odd = (rep.operator().entries, rep.inverse_operator().entries)
+    even = odd if period2 is None else (
+        period2.operator().entries,
+        period2.inverse_operator().entries,
+    )
+    strands = w.strands
+    one, zero = ring.one, ring.zero
+    dim = strands * k
+    width = 2 * k
+    rows = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
     for letter in w.letters:
-        result = result * _generator_matrix(
-            rep, w.strands, abs(letter), period2, inverse=letter < 0
-        )
-    return result
+        index = abs(letter)
+        if not 1 <= index <= strands - 1:
+            raise IndexOutOfRange(
+                f"generator index {index} out of range for {strands} strands"
+            )
+        op_rows = (even if index % 2 == 0 else odd)[letter < 0]
+        base = (index - 1) * k
+        end = base + width
+        for row in rows:
+            terms = [(a, op_row) for a, op_row in zip(row[base:end], op_rows) if a]
+            if terms:
+                row[base:end] = [
+                    sum((a * op_row[j] for a, op_row in terms), zero)
+                    for j in range(width)
+                ]
+    return RingMatrix(ring, rows)
 
 
 def burau_rep() -> BlockRep:

@@ -216,6 +216,8 @@ def main(argv=None) -> int:
     try:
         if args.m < 1:
             raise InvalidSpec(f"--m must be at least 1, got {args.m}")
+        if args.command == "verify" and args.trials < 1:
+            raise InvalidSpec(f"--trials must be at least 1, got {args.trials}")
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "invariant":

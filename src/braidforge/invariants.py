@@ -404,13 +404,20 @@ def simplicity_check(
         "D": rep.D,
         "D1": rep.D1,
     }
-    ident = RingMatrix.identity(rep.ring, rep.k)
+    # Each monomial's product is its longest proper prefix's times one block;
+    # prefixes outside the enumeration are built on demand and kept too.
+    products = {(letter,): m for letter, m in blocks.items()}
+    products[()] = RingMatrix.identity(rep.ring, rep.k)
+
+    def product(mono: tuple[str, ...]) -> RingMatrix:
+        if mono not in products:
+            products[mono] = product(mono[:-1]) * blocks[mono[-1]]
+        return products[mono]
+
     failures = []
     monomials = _shape_monomials(max_len, psi_refinement)
     for mono in monomials:
-        mx = ident
-        for letter in mono:
-            mx = mx * blocks[letter]
+        mx = product(mono)
         base = mx.trace()
         for gen in ("A", "A1"):
             diff = (blocks[gen] * mx).trace() - base

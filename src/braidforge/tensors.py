@@ -40,11 +40,15 @@ class BraidTensor:
     m: int
     ring: object
     entries: tuple
-    # When built from a matrix pair (a, b), keep the pair for fast traces.
-    pair: tuple[RingMatrix, RingMatrix] | None = field(default=None, compare=False)
+    # The matrix pair (a, b) the entries were built from, kept for fast
+    # traces.  Only tensor_from_matrix_pair sets it, so it always describes
+    # the stored entries.
+    pair: tuple[RingMatrix, RingMatrix] | None = field(
+        default=None, init=False, compare=False
+    )
 
     @classmethod
-    def from_function(cls, m: int, ring, fn, pair=None) -> "BraidTensor":
+    def from_function(cls, m: int, ring, fn) -> "BraidTensor":
         entries = tuple(
             tuple(
                 tuple(
@@ -55,7 +59,7 @@ class BraidTensor:
             )
             for i1 in range(m)
         )
-        return cls(m, ring, entries, pair)
+        return cls(m, ring, entries)
 
     def __getitem__(self, idx: tuple[int, int, int, int]):
         i1, i2, j1, j2 = idx
@@ -117,12 +121,11 @@ def tensor_from_matrix_pair(a: RingMatrix, b: RingMatrix) -> BraidTensor:
     ring = a.ring
     if not ring.is_unit(mat_det(a)) or not ring.is_unit(mat_det(b)):
         raise SingularInput("both matrices of the pair must be invertible")
-    return BraidTensor.from_function(
-        a.rows,
-        ring,
-        lambda i1, i2, j1, j2: b.entries[i1][j2] * a.entries[i2][j1],
-        pair=(a, b),
+    T = BraidTensor.from_function(
+        a.rows, ring, lambda i1, i2, j1, j2: b.entries[i1][j2] * a.entries[i2][j1]
     )
+    object.__setattr__(T, "pair", (a, b))
+    return T
 
 
 def tensor_inverse(T: BraidTensor) -> BraidTensor:

@@ -4,17 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidforge.blockreps import (
+    RELATION_SETS,
     BlockRep,
     PairOperators,
-    block_generator_matrix,
     block_operator,
     burau_quadratic_check,
     burau_rep,
     check_relation_set,
     pair_to_block_rep,
     pair_to_triangle_rep,
+    relation_set_slots,
     rep_from_word,
     series_constructor,
     square_zero_assignment,
@@ -24,6 +27,7 @@ from braidforge.blockreps import (
 )
 from braidforge.braids import BraidWord, parse_braid_word
 from braidforge.errors import (
+    DimensionMismatch,
     InvalidPolynomial,
     InvalidSpec,
     MissingSlot,
@@ -56,7 +60,122 @@ def rep_assignment(rep: BlockRep) -> dict:
     return {"A": rep.A, "B": rep.B, "C": rep.C, "D": rep.D}
 
 
+def dense_generator(
+    rep: BlockRep, strands: int, index: int, period2=None, inverse=False
+) -> RingMatrix:
+    """The nk x nk matrix of t_index (or its inverse), identity off the block."""
+    active = period2 if period2 is not None and index % 2 == 0 else rep
+    op = active.inverse_operator() if inverse else active.operator()
+    k, ring = rep.k, rep.ring
+    out = [
+        [ring.one if i == j else ring.zero for j in range(strands * k)]
+        for i in range(strands * k)
+    ]
+    base = (index - 1) * k
+    for i in range(2 * k):
+        for j in range(2 * k):
+            out[base + i][base + j] = op.entries[i][j]
+    return RingMatrix(ring, out)
+
+
+def dense_rep_from_word(rep: BlockRep, w: BraidWord, period2=None) -> RingMatrix:
+    """The oracle: one dense product per letter, starting at the identity."""
+    result = RingMatrix.identity(rep.ring, w.strands * rep.k)
+    for letter in w.letters:
+        result = result * dense_generator(
+            rep, w.strands, abs(letter), period2, inverse=letter < 0
+        )
+    return result
+
+
+def period2_pair() -> tuple[BlockRep, BlockRep]:
+    b = RingMatrix(RATIONAL, [[Fraction(2)]])
+    ident = RingMatrix.identity(RATIONAL, 1)
+    zero = RingMatrix.zeros(RATIONAL, 1)
+    rep1 = BlockRep.from_blocks(zero, b, ident, zero)
+    rep2 = BlockRep.from_blocks(zero, ident, b, zero)
+    return rep1, rep2
+
+
+def oracle_reps() -> list:
+    """(rep, period2) pairs covering every construction of a BlockRep."""
+    rng = random.Random(11)
+    cases = [
+        pytest.param(series_constructor(s, random_invertible_matrix(2, rng)), None, id=s)
+        for s in ("I", "II", "III")
+    ]
+    cases += [
+        pytest.param(series_constructor("VI", (Fraction(2), Fraction(-1))), None, id="VI"),
+        pytest.param(
+            square_zero_rep(*(random_rational_matrix(2, rng) for _ in range(3))),
+            None,
+            id="square-zero",
+        ),
+        pytest.param(pair_to_block_rep(type_I_pair([(1, 1)])), None, id="type-I-pair"),
+        pytest.param(
+            pair_to_block_rep(type_II_pair([(1, 1)], [Fraction(1)])),
+            None,
+            id="type-II-pair",
+        ),
+        pytest.param(*period2_pair(), id="period-2"),
+        pytest.param(burau_rep(), None, id="burau-laurent"),
+    ]
+    return cases
+
+
+@st.composite
+def braid_words(draw, max_strands: int = 4, max_len: int = 6) -> BraidWord:
+    strands = draw(st.integers(1, max_strands))
+    if strands == 1:
+        return BraidWord(1)
+    letter = st.tuples(st.integers(1, strands - 1), st.booleans()).map(
+        lambda p: -p[0] if p[1] else p[0]
+    )
+    return BraidWord(strands, tuple(draw(st.lists(letter, max_size=max_len))))
+
+
+def relation_oracle(assignment: dict, set_id: str) -> list[str]:
+    """check_relation_set with every monomial multiplied out from the identity."""
+    some = next(iter(assignment.values()))
+    ident = RingMatrix.identity(some.ring, some.rows)
+    violated = []
+    for label, monomials in RELATION_SETS[set_id]:
+        total = RingMatrix.zeros(some.ring, some.rows)
+        for coeff, mono in monomials:
+            term = ident
+            for s in mono:
+                term = term * assignment[s]
+            total = total + term.scale(coeff)
+        if not total.is_zero():
+            violated.append(label)
+    return violated
+
+
 class TestCheckRelationSet:
+    @pytest.mark.parametrize("set_id", sorted(RELATION_SETS))
+    def test_matches_identity_started_oracle(self, set_id):
+        rng = random.Random(len(set_id))
+        slots = relation_set_slots(set_id)
+        ident = RingMatrix.identity(RATIONAL, 2)
+        zero = RingMatrix.zeros(RATIONAL, 2)
+        assignments = [
+            {s: random_rational_matrix(2, rng, -1, 1) for s in slots},
+            {s: ident for s in slots},
+            {s: zero for s in slots},
+        ]
+        for assignment in assignments:
+            violated = check_relation_set(assignment, set_id)
+            assert violated == relation_oracle(assignment, set_id)
+
+    @pytest.mark.parametrize("rep, period2", oracle_reps())
+    def test_reps_match_oracle(self, rep, period2):
+        assignment = rep_assignment(rep)
+        assert check_relation_set(assignment, "BRAID_ALGEBRA") == []
+        assert relation_oracle(assignment, "BRAID_ALGEBRA") == []
+        for set_id in ("SIMPLIFIED", "AD_ZERO"):
+            violated = check_relation_set(assignment, set_id)
+            assert violated == relation_oracle(assignment, set_id)
+
     def test_series_ii_passes(self):
         rep = series_constructor("II", RingMatrix(LAURENT, [[q]]))
         assert check_relation_set(rep_assignment(rep), "BRAID_ALGEBRA") == []
@@ -148,8 +267,9 @@ class TestSquareZero:
 class TestGeneratorMatrices:
     def test_swap_placement(self):
         rep = series_constructor("I", RingMatrix.identity(RATIONAL, 1))
-        m = block_generator_matrix(rep, 3, 1)
+        m = dense_generator(rep, 3, 1)
         assert m == RingMatrix(RATIONAL, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert rep_from_word(rep, parse_braid_word("1", 3)) == m
 
     def test_far_commutation(self):
         rep = series_constructor("II", jordan_block(2, Fraction(2)))
@@ -183,17 +303,28 @@ class TestGeneratorMatrices:
         assert rep_from_word(rep, w_a) == rep_from_word(rep, w_b)
 
 
-class TestPeriod2:
-    def pair(self):
-        b = RingMatrix(RATIONAL, [[Fraction(2)]])
-        ident = RingMatrix.identity(RATIONAL, 1)
-        zero = RingMatrix.zeros(RATIONAL, 1)
-        rep1 = BlockRep.from_blocks(zero, b, ident, zero)
-        rep2 = BlockRep.from_blocks(zero, ident, b, zero)
-        return rep1, rep2
+class TestBandedWord:
+    """rep_from_word's banded updates against the dense per-letter product."""
 
+    @pytest.mark.parametrize("rep, period2", oracle_reps())
+    @settings(max_examples=40, deadline=None)
+    @given(w=braid_words())
+    def test_matches_dense_oracle(self, rep, period2, w):
+        assert rep_from_word(rep, w, period2) == dense_rep_from_word(rep, w, period2)
+
+    def test_one_strand_is_identity(self):
+        rep = pair_to_block_rep(type_I_pair([(1, 1)]))
+        assert rep_from_word(rep, BraidWord(1)) == RingMatrix.identity(RATIONAL, 3)
+
+    def test_mismatched_companion_rejected_on_empty_word(self):
+        rep = series_constructor("II", jordan_block(2, Fraction(3)))
+        with pytest.raises(DimensionMismatch, match="period-2 companion"):
+            rep_from_word(rep, BraidWord(3), period2=burau_rep())
+
+
+class TestPeriod2:
     def test_relations(self):
-        rep1, rep2 = self.pair()
+        rep1, rep2 = period2_pair()
         assignment = {
             "A1": rep1.A, "B1": rep1.B, "C1": rep1.C, "D1": rep1.D,
             "A2": rep2.A, "B2": rep2.B, "C2": rep2.C, "D2": rep2.D,
@@ -201,7 +332,7 @@ class TestPeriod2:
         assert check_relation_set(assignment, "PERIOD2") == []
 
     def test_braid_relation_alternating(self):
-        rep1, rep2 = self.pair()
+        rep1, rep2 = period2_pair()
         w_a = parse_braid_word("1 2 1", 4)
         w_b = parse_braid_word("2 1 2", 4)
         assert rep_from_word(rep1, w_a, period2=rep2) == rep_from_word(
@@ -209,7 +340,7 @@ class TestPeriod2:
         )
 
     def test_inverses_alternating(self):
-        rep1, rep2 = self.pair()
+        rep1, rep2 = period2_pair()
         w = parse_braid_word("1 -1 2 -2", 4)
         assert rep_from_word(rep1, w, period2=rep2) == RingMatrix.identity(RATIONAL, 4)
 

@@ -183,6 +183,16 @@ def test_nonpositive_m_is_config_error(argv, capsys):
     assert err.startswith("error: --m must be at least 1")
 
 
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_nonpositive_trials_is_config_error(trials, capsys):
+    code, out, err = run_cli(
+        ["verify", "--mode", "markov", "--trials", trials], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -19,10 +19,13 @@ from braidforge.errors import (
     SimplicityUnverified,
     TraceConditionFailed,
 )
+from braidforge.blockreps import BlockRep, series_constructor, square_zero_rep
 from braidforge.invariants import (
     BracketResidue,
     GBraid,
     LabelScheme,
+    SimplicityVerdict,
+    _shape_monomials,
     bracket_invariant,
     charpoly_class_invariant,
     charpoly_family_invariant,
@@ -34,7 +37,12 @@ from braidforge.invariants import (
     tensor_trace_invariant,
     value_to_jsonable,
 )
-from braidforge.matrix import RingMatrix, mat_inverse, random_invertible_matrix
+from braidforge.matrix import (
+    RingMatrix,
+    mat_inverse,
+    random_invertible_matrix,
+    random_rational_matrix,
+)
 from braidforge.presets import (
     conjugated_u_scheme,
     inverse_scheme,
@@ -283,6 +291,77 @@ class TestTensorTrace:
             )
 
 
+def simplicity_oracle(rep, t, max_len, psi_refinement=True) -> SimplicityVerdict:
+    """simplicity_check with every monomial multiplied out from the identity."""
+    blocks = {
+        name: getattr(rep, name) for name in ("A", "A1", "B", "B1", "C", "C1", "D", "D1")
+    }
+    ident = RingMatrix.identity(rep.ring, rep.k)
+    failures = []
+    monomials = _shape_monomials(max_len, psi_refinement)
+    for mono in monomials:
+        mx = ident
+        for letter in mono:
+            mx = mx * blocks[letter]
+        base = mx.trace()
+        for gen in ("A", "A1"):
+            if (Fraction((blocks[gen] * mx).trace() - base) / t).denominator != 1:
+                failures.append((mono, gen))
+    return SimplicityVerdict(not failures, len(monomials), tuple(failures))
+
+
+def fractional_matrix(rng: random.Random) -> RingMatrix:
+    return RingMatrix(
+        RATIONAL,
+        [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(2)]
+         for _ in range(2)],
+    )
+
+
+def simplicity_reps() -> list:
+    rng = random.Random(23)
+    cases = [
+        pytest.param(series_constructor(s, random_invertible_matrix(2, rng)), id=s)
+        for s in ("I", "II", "III")
+    ]
+    return cases + [
+        pytest.param(series_constructor("VI", (Fraction(3), Fraction(1, 2))), id="VI"),
+        pytest.param(
+            square_zero_rep(*(random_rational_matrix(1, rng) for _ in range(3))),
+            id="square-zero",
+        ),
+        pytest.param(series_constructor("II", RingMatrix(RATIONAL, [[2]])), id="failing"),
+        pytest.param(swap_block_rep(), id="swap"),
+        # The series' blocks commute; unchecked random blocks with fractional
+        # entries do not, so they catch a product taken in the wrong order.
+        pytest.param(
+            BlockRep.from_blocks(*(fractional_matrix(rng) for _ in range(4)), check=False),
+            id="non-commuting",
+        ),
+    ]
+
+
+class TestSimplicityOracle:
+    """Prefix-shared products give the identity-started loop's exact verdict."""
+
+    @pytest.mark.parametrize("rep", simplicity_reps())
+    @pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 2), Fraction(3)])
+    def test_refined(self, rep, t):
+        assert simplicity_check(rep, t, 6) == simplicity_oracle(rep, t, 6)
+
+    @pytest.mark.parametrize("rep", simplicity_reps())
+    @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(2)])
+    def test_unrefined(self, rep, t):
+        verdict = simplicity_check(rep, t, 3, psi_refinement=False)
+        assert verdict == simplicity_oracle(rep, t, 3, psi_refinement=False)
+
+    def test_failing_rep_lists_failures_in_order(self):
+        rep = series_constructor("II", RingMatrix(RATIONAL, [[2]]))
+        verdict = simplicity_check(rep, Fraction(1), 4, psi_refinement=False)
+        assert not verdict.passed and verdict.failures
+        assert verdict == simplicity_oracle(rep, Fraction(1), 4, psi_refinement=False)
+
+
 class TestSimplicityAndBracket:
     def test_swap_rep_passes(self):
         verdict = simplicity_check(swap_block_rep(), Fraction(1), 6)
@@ -290,15 +369,11 @@ class TestSimplicityAndBracket:
         assert verdict.checked == 127
 
     def test_failing_rep(self):
-        from braidforge.blockreps import series_constructor
-
         rep = series_constructor("II", RingMatrix(RATIONAL, [[2]]))
         verdict = simplicity_check(rep, Fraction(1), 4)
         assert not verdict.passed
 
     def test_bracket_requires_verdict(self):
-        from braidforge.blockreps import series_constructor
-
         rep = series_constructor("II", RingMatrix(RATIONAL, [[2]]))
         with pytest.raises(SimplicityUnverified):
             bracket_invariant(rep, TREFOIL, Fraction(1))

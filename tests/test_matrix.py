@@ -248,7 +248,41 @@ class TestInverseOracle:
         assert inv == adjugate_inverse(a)
 
 
+@st.composite
+def square_matrices(draw, ring, max_n):
+    """Any small square matrix, singular ones included."""
+    n = draw(st.integers(0, max_n))
+    if ring is RATIONAL:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        entry = st.builds(
+            LaurentPoly,
+            st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2),
+        )
+    return RingMatrix(ring, [[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+CHAR_POLY_POINTS = {
+    RATIONAL: [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)],
+    LAURENT: [LaurentPoly(), LaurentPoly.const(2), q, 1 - q**-2],
+}
+
+
 class TestCharPoly:
+    @pytest.mark.parametrize(
+        "ring, max_n", [(RATIONAL, 5), (LAURENT, 4)], ids=["rational", "laurent"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_determinant_at_points(self, ring, max_n, data):
+        a = data.draw(square_matrices(ring, max_n))
+        coeffs = char_poly(a)
+        for x in CHAR_POLY_POINTS[ring]:
+            value = ring.zero
+            for c in reversed(coeffs):
+                value = value * x + c
+            assert value == mat_det(RingMatrix.scalar(ring, a.rows, x) - a)
+
     def test_zero_matrix(self):
         coeffs = char_poly(RingMatrix.zeros(RATIONAL, 2))
         assert coeffs == [Fraction(0), Fraction(0), Fraction(1)]

@@ -226,6 +226,32 @@ class TestBraidEquation:
         assert check_braid_equation(t) == []
         assert check_braid_equation(u, standard_tensor(2, 4)) == []
 
+    def test_pair_cannot_be_passed_in(self):
+        # A trusted pair given by hand could vouch for entries it does not
+        # describe, so only tensor_from_matrix_pair may attach one.
+        entries = standard_tensor(2, 3).entries
+        ident = RingMatrix.identity(LAURENT, 2)
+        with pytest.raises(TypeError):
+            BraidTensor(2, LAURENT, entries, pair=(ident, ident))
+        with pytest.raises(TypeError):
+            BraidTensor.from_function(
+                2, RATIONAL, lambda *idx: 0, pair=(ident, ident)
+            )
+
+    def test_pair_less_twin_takes_general_route(self, monkeypatch):
+        calls = []
+        apply_rows = SlotOperator.apply_rows
+
+        def counting(self, rows):
+            calls.append(1)
+            return apply_rows(self, rows)
+
+        twin = unpaired(standard_tensor(2, 3))
+        assert twin.pair is None
+        monkeypatch.setattr(SlotOperator, "apply_rows", counting)
+        assert check_braid_equation(twin) == []
+        assert calls
+
     def test_period_two_rings_must_match(self):
         with pytest.raises(DimensionMismatch):
             check_braid_equation(standard_tensor(2, 0), swap_tensor(2, RATIONAL))
