@@ -266,20 +266,18 @@ class BlockRep:
     def inverse_operator(self) -> RingMatrix:
         return block_operator(self.A1, self.B1, self.C1, self.D1)
 
-    def to_jsonable(self) -> dict:
-        out = {"k": self.k, "ring": self.ring.name}
-        for name in ("A", "B", "C", "D", "A1", "B1", "C1", "D1"):
-            out[name] = getattr(self, name).to_jsonable()
-        return out
-
 
 def block_operator(
     A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix
 ) -> RingMatrix:
-    """The 2k x 2k matrix [[A, B], [C, D]]."""
-    rows = [list(ra) + list(rb) for ra, rb in zip(A.entries, B.entries)]
-    rows += [list(rc) + list(rd) for rc, rd in zip(C.entries, D.entries)]
-    return RingMatrix(A.ring, rows)
+    """The 2k x 2k matrix [[A, B], [C, D]]; the four blocks share one ring."""
+    for m in (B, C, D):
+        A._same_ring(m)
+        if (m.rows, m.cols) != (A.rows, A.cols):
+            raise DimensionMismatch("blocks must be matrices of equal shape")
+    top = tuple(ra + rb for ra, rb in zip(A.entries, B.entries))
+    bottom = tuple(rc + rd for rc, rd in zip(C.entries, D.entries))
+    return RingMatrix._of(A.ring, top + bottom)
 
 
 def series_constructor(series: str, params) -> BlockRep:
@@ -406,7 +404,7 @@ def rep_from_word(
                     sum((a * op_row[j] for a, op_row in terms), zero)
                     for j in range(width)
                 ]
-    return RingMatrix(ring, rows)
+    return RingMatrix._of(ring, tuple(map(tuple, rows)))
 
 
 def burau_rep() -> BlockRep:

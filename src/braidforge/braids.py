@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import IndexOutOfRange, NotDestabilizable, ParseError
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
-from fractions import Fraction
 
 from .blockreps import check_relation_set, series_constructor
 from .braids import BraidWord, Conjugate, Stabilize, markov_move, parse_braid_word
@@ -205,8 +205,6 @@ def _csv_value(value) -> str:
     rendered = value_to_jsonable(value)
     if isinstance(rendered, str):
         return rendered
-    import json
-
     return json.dumps(rendered)
 
 

@@ -28,7 +28,6 @@ from .braids import (
 from .errors import (
     DimensionMismatch,
     InvalidSpec,
-    NoExactRoot,
     RelationViolated,
     SimplicityUnverified,
     TraceConditionFailed,
@@ -55,30 +54,6 @@ class GBraid:
     def __post_init__(self):
         if self.perm.size != self.strands or len(self.labels) != self.strands:
             raise DimensionMismatch("permutation and label count must match strands")
-
-    @classmethod
-    def identity(cls, strands: int, ring, m: int) -> "GBraid":
-        ident = RingMatrix.identity(ring, m)
-        return cls(strands, Permutation.identity(strands), (ident,) * strands)
-
-    def __mul__(self, other: "GBraid") -> "GBraid":
-        """Composition 'self first, then other'."""
-        if self.strands != other.strands:
-            raise DimensionMismatch("strand count mismatch")
-        perm = self.perm.compose(other.perm)
-        labels = tuple(
-            self.labels[j - 1] * other.labels[self.perm(j) - 1]
-            for j in range(1, self.strands + 1)
-        )
-        return GBraid(self.strands, perm, labels)
-
-    def inverse(self) -> "GBraid":
-        inv_perm = self.perm.inverse()
-        labels = tuple(
-            mat_inverse(self.labels[inv_perm(j) - 1])
-            for j in range(1, self.strands + 1)
-        )
-        return GBraid(self.strands, inv_perm, labels)
 
 
 @dataclass(frozen=True)
@@ -229,17 +204,13 @@ def charpoly_family_invariant(
 # -- group trace invariant --------------------------------------------------
 
 
-def group_trace_invariant(
-    w: BraidWord,
-    scheme: LabelScheme,
-    negative_root: bool = False,
-) -> Fraction:
+def group_trace_invariant(w: BraidWord, scheme: LabelScheme) -> Fraction:
     """The normalized product of component-product traces.
 
     Requires the CONJUGATED_U rule.  tr(u x) = lam1 tr(x) for all x holds
     exactly when u = lam1 I (take x = E_ij), and then lam2 = 1 / lam1 for
-    u^-1.  V is an exact square root of lam2 / lam1, with the principal sign
-    unless negative_root is set.  The result is
+    u^-1.  V is the principal (nonnegative) exact square root of
+    lam2 / lam1, and the result is
     (V * lam1)^-(n-1) * V^exp * prod of component traces.
     """
     if scheme.rule != "CONJUGATED_U":
@@ -252,8 +223,6 @@ def group_trace_invariant(
         raise TraceConditionFailed("trace scalars must be nonzero")
     lam2 = 1 / lam1
     v = fraction_sqrt(lam2 / lam1)
-    if negative_root:
-        v = -v
     g = gbraid_from_braid(w, scheme)
     exp = exponent_sum(w)
     n = w.strands
@@ -267,33 +236,19 @@ def group_trace_invariant(
 # -- tensor trace invariant -------------------------------------------------
 
 
-def _ring_sqrt(x):
-    if isinstance(x, LaurentPoly):
-        return x.sqrt_monomial()
-    return fraction_sqrt(x)
-
-
 def tensor_trace_invariant(T: BraidTensor, w: BraidWord, method: str = "auto"):
     """The normalized trace of the braid's tensor representation.
 
-    With partial-trace scalars (a1, a2), V is an exact square root of a2/a1
-    and the value is (V * a1)^-(n-1) * V^exp * trace.
+    With partial-trace scalars (a1, a2) and V = T.ring.sqrt(a2 / a1), the
+    value is (V * a1)^-(n-1) * V^exp * trace (Turaev's enhanced Yang-Baxter
+    normalization), one formula over both rings.  NoExactRoot is raised
+    when a2 / a1 has no exact square root in the ring.
     """
     a1, a2 = partial_trace_scalars(T)
     ring = T.ring
-    if isinstance(a1, LaurentPoly):
-        ratio = a2 * a1.unit_inverse()
-    else:
-        ratio = a2 / a1
-    v = _ring_sqrt(ratio)
-    n = w.strands
-    exp = exponent_sum(w)
-    scale = v * a1
-    if isinstance(scale, LaurentPoly):
-        prefactor = scale.unit_inverse() ** (n - 1) * v**exp
-    else:
-        prefactor = scale ** (-(n - 1)) * v**exp
-    return ring.coerce(prefactor) * tensor_rep_trace(T, w, method)
+    v = ring.sqrt(a2 * ring.unit_inverse(a1))
+    prefactor = ring.unit_inverse(v * a1) ** (w.strands - 1) * v ** exponent_sum(w)
+    return prefactor * tensor_rep_trace(T, w, method)
 
 
 # -- bracket invariant ------------------------------------------------------
@@ -316,6 +271,10 @@ class BracketResidue:
 
     def __hash__(self):
         return hash(self.modulus)
+
+
+# The monomial length up to which the bracket's simplicity check runs.
+SIMPLICITY_MAX_LEN = 6
 
 
 @dataclass(frozen=True)
@@ -390,6 +349,8 @@ def simplicity_check(
 
     For every admissible monomial X up to max_len letters, both
     tr(A X) - tr(X) and tr(A1 X) - tr(X) must be integer multiples of t.
+    tr(G X) is read as the sum over i of row i of G times column i of X,
+    without forming G X.
     """
     t = Fraction(t)
     if not t:
@@ -414,23 +375,20 @@ def simplicity_check(
             products[mono] = product(mono[:-1]) * blocks[mono[-1]]
         return products[mono]
 
+    zero = rep.ring.zero
     failures = []
     monomials = _shape_monomials(max_len, psi_refinement)
     for mono in monomials:
         mx = product(mono)
         base = mx.trace()
+        cols = tuple(zip(*mx.entries))
         for gen in ("A", "A1"):
-            diff = (blocks[gen] * mx).trace() - base
-            q = _as_rational(diff) / t
+            pairs = zip(blocks[gen].entries, cols)
+            tr_gx = sum((a * b for r, c in pairs for a, b in zip(r, c)), zero)
+            q = RATIONAL.coerce(tr_gx - base) / t
             if q.denominator != 1:
                 failures.append((mono, gen))
     return SimplicityVerdict(not failures, len(monomials), tuple(failures))
-
-
-def _as_rational(x) -> Fraction:
-    if isinstance(x, LaurentPoly):
-        return x.constant_value()
-    return Fraction(x)
 
 
 def bracket_invariant(
@@ -438,24 +396,25 @@ def bracket_invariant(
     w: BraidWord,
     t: Fraction,
     verdict: SimplicityVerdict | None = None,
-    max_len: int = 4,
 ) -> BracketResidue:
     """The bracket S = 2 tr pi'(w) + exp (tr D1 - tr D) - n (tr D1 + tr D),
     declared modulo 2t; congruent values correspond to equal link invariants.
 
-    Requires a representation certified by simplicity_check (a verdict may be
-    passed in to avoid re-running the enumeration).
+    Requires a representation certified by simplicity_check.  A verdict may
+    be passed in to avoid re-running the enumeration; without one the check
+    runs up to SIMPLICITY_MAX_LEN letters, the bound the CLI certifies.
+    Traces are taken as rationals, so Laurent entries must be constants.
     """
     t = Fraction(t)
     if verdict is None:
-        verdict = simplicity_check(rep, t, max_len)
+        verdict = simplicity_check(rep, t, SIMPLICITY_MAX_LEN)
     if not verdict.passed:
         raise SimplicityUnverified(
             f"simplicity check failed on {len(verdict.failures)} monomials"
         )
-    tr_word = _as_rational(rep_from_word(rep, w).trace())
-    tr_d = _as_rational(rep.D.trace())
-    tr_d1 = _as_rational(rep.D1.trace())
+    tr_word = RATIONAL.coerce(rep_from_word(rep, w).trace())
+    tr_d = RATIONAL.coerce(rep.D.trace())
+    tr_d1 = RATIONAL.coerce(rep.D1.trace())
     s = 2 * tr_word + exponent_sum(w) * (tr_d1 - tr_d) - w.strands * (tr_d1 + tr_d)
     return BracketResidue(s, 2 * t)
 

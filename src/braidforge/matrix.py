@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NonUnitDeterminant
-from .rings import LAURENT, RATIONAL, LaurentPoly
+from .rings import RATIONAL
 
 
 class RingMatrix:
-    """An immutable dense matrix over an exact ring."""
+    """An immutable dense matrix over an exact ring.
+
+    The constructor coerces outside input into the ring; the matrix's own
+    operations build their results with _of, which trusts its entries.
+    """
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -31,6 +36,16 @@ class RingMatrix:
         object.__setattr__(self, "cols", len(data[0]) if data else 0)
         object.__setattr__(self, "entries", data)
 
+    @classmethod
+    def _of(cls, ring, data: tuple[tuple, ...]) -> "RingMatrix":
+        """A matrix over a tuple of equal-length row tuples of ring elements."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "rows", len(data))
+        object.__setattr__(out, "cols", len(data[0]) if data else 0)
+        object.__setattr__(out, "entries", data)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("RingMatrix is immutable")
 
@@ -38,24 +53,19 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring, n: int) -> "RingMatrix":
-        one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.scalar(ring, n, ring.one)
 
     @classmethod
     def zeros(cls, ring, rows: int, cols: int | None = None) -> "RingMatrix":
         cols = rows if cols is None else cols
-        zero = ring.zero
-        return cls(ring, [[zero] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_rows(cls, ring, rows: Sequence[Sequence]) -> "RingMatrix":
-        return cls(ring, rows)
+        return cls._of(ring, ((ring.zero,) * cols,) * rows)
 
     @classmethod
     def scalar(cls, ring, n: int, c) -> "RingMatrix":
         c = ring.coerce(c)
         zero = ring.zero
-        return cls(ring, [[c if i == j else zero for j in range(n)] for i in range(n)])
+        out = tuple(tuple(c if i == j else zero for j in range(n)) for i in range(n))
+        return cls._of(ring, out)
 
     def _same_ring(self, other: "RingMatrix"):
         if self.ring is not other.ring:
@@ -68,9 +78,6 @@ class RingMatrix:
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -103,32 +110,23 @@ class RingMatrix:
         self._same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return RingMatrix(
-            self.ring,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        rows = zip(self.entries, other.entries)
+        return RingMatrix._of(self.ring, tuple(tuple(map(add, r1, r2)) for r1, r2 in rows))
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         self._same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in subtraction")
-        return RingMatrix(
-            self.ring,
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        rows = zip(self.entries, other.entries)
+        return RingMatrix._of(self.ring, tuple(tuple(map(sub, r1, r2)) for r1, r2 in rows))
 
     def __neg__(self) -> "RingMatrix":
-        return RingMatrix(self.ring, [[-x for x in r] for r in self.entries])
+        return RingMatrix._of(self.ring, tuple(tuple(-x for x in r) for r in self.entries))
 
     def scale(self, c) -> "RingMatrix":
         c = self.ring.coerce(c)
-        return RingMatrix(self.ring, [[c * x for x in r] for r in self.entries])
+        out = tuple(tuple(c * x for x in r) for r in self.entries)
+        return RingMatrix._of(self.ring, out)
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         self._same_ring(other)
@@ -138,12 +136,11 @@ class RingMatrix:
             )
         zero = self.ring.zero
         cols = tuple(zip(*other.entries)) if other.entries else ()
-        out = []
-        for r in self.entries:
-            out.append(
-                [sum((a * b for a, b in zip(r, c)), zero) for c in cols]
-            )
-        return RingMatrix(self.ring, out)
+        out = tuple(
+            tuple(sum((a * b for a, b in zip(r, c)), zero) for c in cols)
+            for r in self.entries
+        )
+        return RingMatrix._of(self.ring, out)
 
     def __pow__(self, n: int) -> "RingMatrix":
         if not self.is_square():
@@ -163,19 +160,13 @@ class RingMatrix:
                 return result
             base = base * base
 
-    def transpose(self) -> "RingMatrix":
-        return RingMatrix(self.ring, list(zip(*self.entries)) if self.entries else [])
-
     def trace(self):
         if not self.is_square():
             raise DimensionMismatch("trace of a non-square matrix")
         return sum((self.entries[i][i] for i in range(self.rows)), self.ring.zero)
 
     def submatrix(self, r0: int, c0: int, r1: int, c1: int) -> "RingMatrix":
-        return RingMatrix(self.ring, [row[c0:c1] for row in self.entries[r0:r1]])
-
-    def map_entries(self, fn: Callable, ring=None) -> "RingMatrix":
-        return RingMatrix(ring or self.ring, [[fn(x) for x in r] for r in self.entries])
+        return RingMatrix._of(self.ring, tuple(row[c0:c1] for row in self.entries[r0:r1]))
 
     def to_ring(self, ring) -> "RingMatrix":
         if ring is self.ring:
@@ -270,7 +261,7 @@ def mat_inverse(a: RingMatrix) -> RingMatrix:
             f"determinant {ring.to_text(det)} is not a unit of the {ring.name} ring"
         )
     inv_d = ring.unit_inverse(prev)
-    return RingMatrix(ring, [[x * inv_d for x in r[n:]] for r in m])
+    return RingMatrix._of(ring, tuple(tuple(x * inv_d for x in r[n:]) for r in m))
 
 
 def char_poly(a: RingMatrix) -> list:
@@ -298,17 +289,8 @@ def char_poly(a: RingMatrix) -> list:
 def kron(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Kronecker product with row-major index convention (i1*dim2 + i2)."""
     a._same_ring(b)
-    out = []
-    for i1 in range(a.rows):
-        for i2 in range(b.rows):
-            out.append(
-                [
-                    a.entries[i1][j1] * b.entries[i2][j2]
-                    for j1 in range(a.cols)
-                    for j2 in range(b.cols)
-                ]
-            )
-    return RingMatrix(a.ring, out)
+    out = tuple(tuple(x * y for x in ra for y in rb) for ra in a.entries for rb in b.entries)
+    return RingMatrix._of(a.ring, out)
 
 
 def random_rational_matrix(
@@ -329,10 +311,3 @@ def random_invertible_matrix(
         if mat_det(m):
             return m
 
-
-def laurent_matrix(rows: Sequence[Sequence]) -> RingMatrix:
-    return RingMatrix(LAURENT, rows)
-
-
-def rational_matrix(rows: Sequence[Sequence]) -> RingMatrix:
-    return RingMatrix(RATIONAL, rows)

@@ -12,9 +12,9 @@ import random
 from fractions import Fraction
 
 from .blockreps import BlockRep, series_constructor
-from .braids import BraidWord
 from .errors import ParseError
 from .invariants import (
+    SIMPLICITY_MAX_LEN,
     LabelScheme,
     bracket_invariant,
     charpoly_class_invariant,
@@ -76,7 +76,7 @@ def _power(t) -> int:
     return _read_t(str(t), int, "an integer")
 
 
-def invariant_function(invariant: str, m: int, t, seed: int, max_len: int = 6):
+def invariant_function(invariant: str, m: int, t, seed: int):
     """A callable BraidWord -> value for the named invariant pipeline."""
     if invariant == "tensor-trace":
         tensor = standard_tensor(m, seed)
@@ -93,7 +93,7 @@ def invariant_function(invariant: str, m: int, t, seed: int, max_len: int = 6):
     if invariant == "bracket":
         rep = swap_block_rep()
         t = _read_t(t, Fraction, "a rational number")
-        verdict = simplicity_check(rep, t, max_len)
+        verdict = simplicity_check(rep, t, SIMPLICITY_MAX_LEN)
         return lambda w: bracket_invariant(rep, w, t, verdict=verdict)
     raise ParseError(f"unknown invariant: {invariant}")
 

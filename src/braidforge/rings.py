@@ -8,7 +8,9 @@ A Laurent polynomial is a finite map exponent -> Fraction with no stored zero
 coefficients; the zero polynomial is the empty map.  The canonical text form
 sorts terms by ascending exponent and joins them with " + ", e.g.
 ``-1/2*T^-1 + 3*T^2``; a constant term is printed bare ("3"), and the zero
-polynomial is "0".
+polynomial is "0".  The ring descriptors RATIONAL and LAURENT decide all
+ring-dependent arithmetic (coercion, unit inverses, exact division and
+square roots), so code above this module needs no per-ring branches.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ class LaurentPoly:
                 if not acc[e]:
                     del acc[e]
         self._coeffs = acc
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, Fraction]) -> "LaurentPoly":
+        """A polynomial over a map already free of zero coefficients."""
+        out = object.__new__(cls)
+        out._coeffs = coeffs
+        return out
 
     @classmethod
     def const(cls, c: RatLike) -> "LaurentPoly":
@@ -88,9 +97,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self._coeffs)
 
-    def is_monomial(self) -> bool:
-        return len(self._coeffs) == 1
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerced(self, other) -> "LaurentPoly | None":
@@ -106,21 +112,19 @@ class LaurentPoly:
             return NotImplemented
         acc = dict(self._coeffs)
         for e, c in o._coeffs.items():
-            s = acc.get(e, Fraction(0)) + c
-            if s:
+            # A new exponent takes the stored, already nonzero coefficient.
+            if e not in acc:
+                acc[e] = c
+            elif s := acc[e] + c:
                 acc[e] = s
-            elif e in acc:
+            else:
                 del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = acc
-        return out
+        return LaurentPoly._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {e: -c for e, c in self._coeffs.items()}
-        return out
+        return LaurentPoly._of({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -141,15 +145,14 @@ class LaurentPoly:
         acc: dict[int, Fraction] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in o._coeffs.items():
-                e = e1 + e2
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s:
+                e, c = e1 + e2, c1 * c2
+                if e not in acc:
+                    acc[e] = c
+                elif s := acc[e] + c:
                     acc[e] = s
-                elif e in acc:
+                else:
                     del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = acc
-        return out
+        return LaurentPoly._of(acc)
 
     __rmul__ = __mul__
 
@@ -174,6 +177,9 @@ class LaurentPoly:
         return self._coeffs == o._coeffs
 
     def __hash__(self):
+        # A constant equals its Fraction value, so it must hash like it.
+        if self.is_constant():
+            return hash(self.coeff(0))
         return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self):
@@ -192,7 +198,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise NonUnitDeterminant(f"not a unit of the Laurent ring: {self}")
         ((e, c),) = self._coeffs.items()
-        return LaurentPoly({-e: 1 / c})
+        return LaurentPoly._of({-e: 1 / c})
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / other; raises if the division is not exact.
@@ -231,7 +237,7 @@ class LaurentPoly:
         ((e, c),) = self._coeffs.items()
         if e % 2 != 0:
             raise NoExactRoot(f"odd exponent, no exact square root: {self}")
-        return LaurentPoly({e // 2: fraction_sqrt(c)})
+        return LaurentPoly._of({e // 2: fraction_sqrt(c)})
 
     # -- text ---------------------------------------------------------------
 
@@ -285,14 +291,8 @@ class RationalRing:
     """The field of rationals, as a pluggable matrix coefficient ring."""
 
     name = "rational"
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, LaurentPoly):
@@ -315,6 +315,9 @@ class RationalRing:
             raise ZeroDivisionError("rational division by zero")
         return a / b
 
+    def sqrt(self, x: Fraction) -> Fraction:
+        return fraction_sqrt(x)
+
     def div_int(self, a: Fraction, n: int) -> Fraction:
         return a / n
 
@@ -332,14 +335,8 @@ class LaurentRing:
     """Laurent polynomials over the rationals, as a matrix coefficient ring."""
 
     name = "laurent"
-
-    @property
-    def zero(self) -> LaurentPoly:
-        return LaurentPoly()
-
-    @property
-    def one(self) -> LaurentPoly:
-        return LaurentPoly.const(1)
+    zero = LaurentPoly()
+    one = LaurentPoly.const(1)
 
     def coerce(self, x) -> LaurentPoly:
         if isinstance(x, LaurentPoly):
@@ -358,6 +355,9 @@ class LaurentRing:
     def exact_div(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return a.exact_div(b)
 
+    def sqrt(self, x: LaurentPoly) -> LaurentPoly:
+        return x.sqrt_monomial()
+
     def div_int(self, a: LaurentPoly, n: int) -> LaurentPoly:
         return a * Fraction(1, n)
 
@@ -370,7 +370,5 @@ class LaurentRing:
 
 RATIONAL = RationalRing()
 LAURENT = LaurentRing()
-
-RINGS = {RATIONAL.name: RATIONAL, LAURENT.name: LAURENT}
 
 T = LaurentPoly.var()

@@ -310,7 +310,12 @@ class TestBandedWord:
     @settings(max_examples=40, deadline=None)
     @given(w=braid_words())
     def test_matches_dense_oracle(self, rep, period2, w):
-        assert rep_from_word(rep, w, period2) == dense_rep_from_word(rep, w, period2)
+        result = rep_from_word(rep, w, period2)
+        assert result == dense_rep_from_word(rep, w, period2)
+        # Built without re-coercion: rows are tuples of the ring's own type.
+        kind = type(rep.ring.zero)
+        assert all(type(row) is tuple for row in result.entries)
+        assert all(type(x) is kind for row in result.entries for x in row)
 
     def test_one_strand_is_identity(self):
         rep = pair_to_block_rep(type_I_pair([(1, 1)]))
@@ -448,6 +453,10 @@ def test_block_operator_layout():
     c = RingMatrix(RATIONAL, [[3]])
     d = RingMatrix(RATIONAL, [[4]])
     assert block_operator(a, b, c, d) == RingMatrix(RATIONAL, [[1, 2], [3, 4]])
+    with pytest.raises(DimensionMismatch, match="ring mismatch"):
+        block_operator(a, b, c, d.to_ring(LAURENT))
+    with pytest.raises(DimensionMismatch, match="equal shape"):
+        block_operator(a, b, c, RingMatrix.identity(RATIONAL, 2))
 
 
 def test_nilpotency_of_pairs():

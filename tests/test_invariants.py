@@ -52,6 +52,12 @@ from braidforge.presets import (
     t_inverse_scheme,
 )
 from braidforge.rings import LAURENT, RATIONAL, LaurentPoly
+from braidforge.tensors import (
+    identity_tensor,
+    partial_trace_scalars,
+    swap_tensor,
+    tensor_from_matrix_pair,
+)
 
 T = LaurentPoly.var()
 
@@ -80,11 +86,33 @@ def braid_words(draw, max_strands=7, max_letters=8):
     return BraidWord(strands, tuple(draw(st.lists(letter, max_size=max_letters))))
 
 
+def gbraid_identity(strands: int, ring, m: int) -> GBraid:
+    ident = RingMatrix.identity(ring, m)
+    return GBraid(strands, Permutation.identity(strands), (ident,) * strands)
+
+
+def gbraid_mul(g: GBraid, h: GBraid) -> GBraid:
+    """Composition 'g first, then h'."""
+    assert g.strands == h.strands
+    labels = tuple(
+        g.labels[j - 1] * h.labels[g.perm(j) - 1] for j in range(1, g.strands + 1)
+    )
+    return GBraid(g.strands, g.perm.compose(h.perm), labels)
+
+
+def gbraid_inverse(g: GBraid) -> GBraid:
+    inv_perm = g.perm.inverse()
+    labels = tuple(
+        mat_inverse(g.labels[inv_perm(j) - 1]) for j in range(1, g.strands + 1)
+    )
+    return GBraid(g.strands, inv_perm, labels)
+
+
 def letter_by_letter(w: BraidWord, scheme: LabelScheme) -> GBraid:
     """The G-braid of w as a product of one step G-braid per letter."""
     n = w.strands
     ident = RingMatrix.identity(scheme.ring, scheme.m)
-    result = GBraid.identity(n, scheme.ring, scheme.m)
+    result = gbraid_identity(n, scheme.ring, scheme.m)
     for letter in w.letters:
         i = abs(letter)
         labels = [ident] * n
@@ -93,19 +121,20 @@ def letter_by_letter(w: BraidWord, scheme: LabelScheme) -> GBraid:
         else:
             labels[i - 1] = mat_inverse(scheme.b(i))
             labels[i] = mat_inverse(scheme.a(i))
-        result = result * GBraid(n, Permutation.transposition(n, i), tuple(labels))
+        step = GBraid(n, Permutation.transposition(n, i), tuple(labels))
+        result = gbraid_mul(result, step)
     return result
 
 
 class TestGBraid:
     def test_identity(self):
-        g = GBraid.identity(3, RATIONAL, 2)
-        assert g * g == g
+        g = gbraid_identity(3, RATIONAL, 2)
+        assert gbraid_mul(g, g) == g
 
     def test_word_times_inverse(self):
         scheme = inverse_scheme(2, 17)
         g = gbraid_from_braid(parse_braid_word("1 2 -1", 3), scheme)
-        assert g * g.inverse() == GBraid.identity(3, RATIONAL, 2)
+        assert gbraid_mul(g, gbraid_inverse(g)) == gbraid_identity(3, RATIONAL, 2)
 
     def test_braid_relation(self):
         scheme = inverse_scheme(2, 5)
@@ -289,6 +318,33 @@ class TestTensorTrace:
             assert tensor_trace_invariant(t, w, "dense") == tensor_trace_invariant(
                 t, w, "slots"
             )
+
+    @pytest.mark.parametrize(
+        "make, text, strands, expected",
+        [
+            ("pair", "1 1 1", 2, 2),
+            ("pair", "", 2, 4),
+            ("swap", "1 1 1", 2, 2),
+            ("identity", "1 -1 1", 2, 2),
+        ],
+    )
+    def test_rational_tensor(self, make, text, strands, expected):
+        """The normalization over the rationals: V = 1/3 for the pair
+        (a, 3 a^-1), whose partial-trace scalars are 3 and 1/3."""
+        methods = ["auto", "contract", "dense"]
+        if make == "pair":
+            a = random_invertible_matrix(2, random.Random(3))
+            tensor = tensor_from_matrix_pair(a, mat_inverse(a).scale(3))
+            assert partial_trace_scalars(tensor) == (Fraction(3), Fraction(1, 3))
+            methods.append("slots")
+        elif make == "swap":
+            tensor = swap_tensor(2, RATIONAL)
+        else:
+            tensor = identity_tensor(2, RATIONAL)
+        w = parse_braid_word(text, strands)
+        for method in methods:
+            value = tensor_trace_invariant(tensor, w, method)
+            assert type(value) is Fraction and value == expected
 
 
 def simplicity_oracle(rep, t, max_len, psi_refinement=True) -> SimplicityVerdict:

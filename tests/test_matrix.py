@@ -249,9 +249,9 @@ class TestInverseOracle:
 
 
 @st.composite
-def square_matrices(draw, ring, max_n):
+def square_matrices(draw, ring, max_n, min_n=0):
     """Any small square matrix, singular ones included."""
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     if ring is RATIONAL:
         entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     else:
@@ -260,6 +260,50 @@ def square_matrices(draw, ring, max_n):
             st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2),
         )
     return RingMatrix(ring, [[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+def assert_in_ring(m: RingMatrix):
+    """m equals its public construction, and every entry has the ring's type."""
+    assert m == RingMatrix(m.ring, m.entries)
+    kind = Fraction if m.ring is RATIONAL else LaurentPoly
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.entries)
+    assert all(type(x) is kind for row in m.entries for x in row)
+
+
+class TestTrustedResults:
+    """Operations build their results without re-coercing the entries."""
+
+    @pytest.mark.parametrize(
+        "ring, invertible",
+        [(RATIONAL, invertible_rational(4)), (LAURENT, invertible_laurent(3))],
+        ids=["rational", "laurent"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_results_are_in_ring(self, ring, invertible, data):
+        a = data.draw(square_matrices(ring, 3))
+        n = a.rows
+        b = data.draw(square_matrices(ring, n, min_n=n))
+        c = data.draw(square_matrices(ring, 2))
+        inv = data.draw(invertible)
+        i, j = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        results = [
+            a * b,
+            a + b,
+            a - b,
+            -a,
+            a.scale(2),
+            a.scale(b[0, 0] if n else ring.one),
+            a.submatrix(i, i, j, j),
+            a.submatrix(0, i, n, j),
+            mat_inverse(inv),
+            kron(a, c),
+            RingMatrix.identity(ring, n),
+            RingMatrix.zeros(ring, n, i),
+            RingMatrix.scalar(ring, n, 3),
+        ]
+        for m in results:
+            assert_in_ring(m)
 
 
 CHAR_POLY_POINTS = {

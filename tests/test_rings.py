@@ -33,9 +33,15 @@ class TestRationalOps:
 
     def test_ring_interface(self):
         assert RATIONAL.coerce(3) == Fraction(3)
+        assert RATIONAL.coerce(LaurentPoly.const(Fraction(5, 2))) == Fraction(5, 2)
         assert RATIONAL.unit_inverse(Fraction(2)) == Fraction(1, 2)
         with pytest.raises(NonUnitDeterminant):
             RATIONAL.unit_inverse(Fraction(0))
+
+    def test_sqrt(self):
+        assert RATIONAL.sqrt(Fraction(9, 4)) == Fraction(3, 2)
+        with pytest.raises(NoExactRoot):
+            RATIONAL.sqrt(Fraction(2))
 
 
 class TestLaurentArithmetic:
@@ -75,6 +81,16 @@ class TestLaurentArithmetic:
             LaurentPoly.monomial(1, 3).sqrt_monomial()
         with pytest.raises(NoExactRoot):
             (T + 1).sqrt_monomial()
+
+    @pytest.mark.parametrize("c", [3, Fraction(-7, 2), 0, Fraction(0)])
+    def test_constant_hashes_like_its_value(self, c):
+        p = LaurentPoly.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+
+    def test_nonconstant_hashes(self):
+        assert hash(T + 1) == hash(1 + T)
+        assert {T: "t"}[LaurentPoly.var()] == "t"
 
     @given(laurent_strategy, laurent_strategy, laurent_strategy)
     @settings(max_examples=60, deadline=None)
@@ -132,3 +148,6 @@ def test_laurent_ring_interface():
     assert LAURENT.coerce(Fraction(1, 2)) == LaurentPoly.const(Fraction(1, 2))
     assert LAURENT.is_unit(T) and not LAURENT.is_unit(T + 1)
     assert LAURENT.div_int(LaurentPoly.const(3), 2) == LaurentPoly.const(Fraction(3, 2))
+    assert LAURENT.sqrt(LaurentPoly.monomial(4, -2)) == LaurentPoly.monomial(2, -1)
+    with pytest.raises(NoExactRoot):
+        LAURENT.sqrt(T)
