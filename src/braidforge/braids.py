@@ -141,10 +141,17 @@ def exponent_sum(w: BraidWord) -> int:
 
 
 def underlying_permutation(w: BraidWord) -> Permutation:
-    p = Permutation.identity(w.strands)
+    """j -> the bottom position of the strand that starts at top position j,
+    the composite of the letters' transpositions in word order."""
+    # at[p] is the top position - 1 of the strand now at position p + 1.
+    at = list(range(w.strands))
     for k in w.letters:
-        p = p.compose(Permutation.transposition(w.strands, abs(k)))
-    return p
+        i = abs(k)
+        at[i - 1], at[i] = at[i], at[i - 1]
+    images = [0] * w.strands
+    for p, top in enumerate(at):
+        images[top] = p + 1
+    return Permutation(tuple(images))
 
 
 def fold_labels(w: BraidWord, identity, labels_of) -> list:

@@ -67,9 +67,11 @@ class LabelScheme:
     a_i b_i = b_{i+1} a_{i+1}, checked by verify_compatibility.
 
     A scheme is immutable, so _cache (outside equality and hash) keeps a_s
-    as given or sampled, b_s, and the pairs verified.  Under T_INVERSE it
-    keeps b_s / T and lifts both to the Laurent ring per call: a constant
-    Laurent matrix takes several times the memory of a rational one.
+    as given or sampled, b_s, a_s^-1 and b_s^-1 (each inverted once), and
+    the pairs verified.  Under T_INVERSE it keeps b_s / T and lifts a_s and b_s
+    to the Laurent ring per call: a constant Laurent matrix takes several
+    times the memory of a rational one.  The inverses are kept in the
+    scheme's ring, one pair per index a word uses.
     """
 
     rule: str
@@ -120,17 +122,30 @@ class LabelScheme:
             if self.rule == "T_INVERSE":
                 stored = mat_inverse(self._source(s))
             elif self.rule == "INVERSE":
-                stored = mat_inverse(self.a(s))
+                stored = self._a_inverse(s)
             else:
                 prefix = RingMatrix.identity(self.ring, self.m)
                 for r in range(s - 1, 0, -1):
                     prefix = prefix * self.a(r)
                 u = self.u.to_ring(self.ring)
-                stored = prefix * u * mat_inverse(prefix) * mat_inverse(self.a(s))
+                stored = prefix * u * mat_inverse(prefix) * self._a_inverse(s)
             self._cache[("b", s)] = stored
         if self.rule == "T_INVERSE":
             return stored.to_ring(LAURENT).scale(LaurentPoly.var())
         return stored
+
+    def _a_inverse(self, s: int) -> RingMatrix:
+        inv = self._cache.get(("a^-1", s))
+        if inv is None:
+            inv = self._cache[("a^-1", s)] = mat_inverse(self.a(s))
+        return inv
+
+    def inverse_labels(self, s: int) -> tuple[RingMatrix, RingMatrix]:
+        """(b_s^-1, a_s^-1), the labels of t_s^-1, inverted once per index."""
+        b_inv = self._cache.get(("b^-1", s))
+        if b_inv is None:
+            b_inv = self._cache[("b^-1", s)] = mat_inverse(self.b(s))
+        return b_inv, self._a_inverse(s)
 
     def verify_compatibility(self, max_index: int):
         """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used."""
@@ -151,10 +166,9 @@ def gbraid_from_braid(w: BraidWord, scheme: LabelScheme) -> GBraid:
         scheme.verify_compatibility(n - 1)
 
     def labels_of(letter):
-        i = abs(letter)
         if letter > 0:
-            return scheme.a(i), scheme.b(i)
-        return mat_inverse(scheme.b(i)), mat_inverse(scheme.a(i))
+            return scheme.a(letter), scheme.b(letter)
+        return scheme.inverse_labels(-letter)
 
     identity = RingMatrix.identity(scheme.ring, scheme.m)
     labels = fold_labels(w, identity, labels_of)

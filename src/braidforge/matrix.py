@@ -1,21 +1,31 @@
 """Dense exact matrices over a pluggable commutative ring.
 
 RingMatrix stores entries as an immutable tuple of row tuples together with a
-ring descriptor (RATIONAL or LAURENT from the rings module).  Determinants use
-fraction-free Bareiss elimination, inverses one fraction-free Gauss-Jordan
-pass (Bareiss 1968), and characteristic polynomials the Faddeev-LeVerrier
-recurrence.  Everything is exact; nothing is ever rounded.
+ring descriptor (RATIONAL, LAURENT or INTEGER from the rings module).
+Determinants use fraction-free Bareiss elimination, inverses one
+fraction-free Gauss-Jordan pass (Bareiss 1968), and characteristic
+polynomials the Faddeev-LeVerrier recurrence.  Everything is exact; nothing
+is ever rounded.
+
+A matrix whose nonzero entries are all c*T^e for one shared e (every
+rational matrix, and every pair matrix the presets build) has a
+fraction-free form s*T^e*N: a rational scale s, an exponent e and a
+primitive integer matrix N (integer_form).  The same Gauss-Jordan pass
+inverts N over the integers (integer_form_inverse), so callers can multiply
+and invert such matrices on plain ints and apply s*T^e once.  Any other
+matrix has no form and stays on its ring's own arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from operator import add, sub
-from typing import Iterable, Sequence
+from operator import add, mul, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NonUnitDeterminant
-from .rings import RATIONAL
+from .rings import INTEGER, RATIONAL
 
 
 class RingMatrix:
@@ -137,7 +147,7 @@ class RingMatrix:
         zero = self.ring.zero
         cols = tuple(zip(*other.entries)) if other.entries else ()
         out = tuple(
-            tuple(sum((a * b for a, b in zip(r, c)), zero) for c in cols)
+            tuple(sum(map(mul, r, c), zero) for c in cols)
             for r in self.entries
         )
         return RingMatrix._of(self.ring, out)
@@ -214,15 +224,15 @@ def mat_det(a: RingMatrix):
     return -det if sign < 0 else det
 
 
-def mat_inverse(a: RingMatrix) -> RingMatrix:
-    """Inverse by one fraction-free Gauss-Jordan pass; det must be a unit.
+def _fraction_free_inverse(a: RingMatrix):
+    """(d, sign, rows) with rows = d * a^-1 as row tuples and
+    det(a) = sign * d, or (zero, 1, None) when det(a) = 0.
 
     Bareiss's one-step elimination turns [A | I] into [d*I | d*A^-1], where
     d = +-det(A) (the sign of the row swaps), and every division by the
-    previous pivot is exact.  One unit inverse of d then gives A^-1.
+    previous pivot is exact.  Over the integers d*A^-1 = +-adj(A) is an
+    integer matrix, so no fraction ever appears.
     """
-    if not a.is_square():
-        raise DimensionMismatch("inverse of a non-square matrix")
     ring = a.ring
     n = a.rows
     one, zero = ring.one, ring.zero
@@ -238,9 +248,7 @@ def mat_inverse(a: RingMatrix) -> RingMatrix:
                 (i for i in range(k + 1, n) if not ring.is_zero(m[i][k])), None
             )
             if pivot is None:
-                raise NonUnitDeterminant(
-                    f"determinant 0 is not a unit of the {ring.name} ring"
-                )
+                return zero, 1, None
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         pivot_row = m[k]
@@ -255,13 +263,101 @@ def mat_inverse(a: RingMatrix) -> RingMatrix:
             for j in range(k + 1, 2 * n):
                 row[j] = ring.exact_div(p * row[j] - f * pivot_row[j], prev)
         prev = p
-    if not ring.is_unit(prev):
-        det = prev if sign > 0 else -prev
+    return prev, sign, tuple(tuple(r[n:]) for r in m)
+
+
+def mat_inverse(a: RingMatrix) -> RingMatrix:
+    """Inverse by one fraction-free Gauss-Jordan pass; det must be a unit.
+
+    The pass (_fraction_free_inverse) gives d = +-det(a) and d * a^-1; one
+    unit inverse of d then gives a^-1.
+    """
+    if not a.is_square():
+        raise DimensionMismatch("inverse of a non-square matrix")
+    ring = a.ring
+    d, sign, rows = _fraction_free_inverse(a)
+    if not ring.is_unit(d):
+        det = d if sign > 0 else -d
         raise NonUnitDeterminant(
             f"determinant {ring.to_text(det)} is not a unit of the {ring.name} ring"
         )
-    inv_d = ring.unit_inverse(prev)
-    return RingMatrix._of(ring, tuple(tuple(x * inv_d for x in r[n:]) for r in m))
+    inv_d = ring.unit_inverse(d)
+    return RingMatrix._of(ring, tuple(tuple(x * inv_d for x in r) for r in rows))
+
+
+# -- fraction-free forms ------------------------------------------------------
+
+
+class IntegerMatrixForm(NamedTuple):
+    """A matrix as scale * T^exp * matrix, with matrix over INTEGER.
+
+    The integer matrix is primitive (its entries have gcd 1) unless it is
+    zero; the zero matrix is 1 * T^0 * 0.
+    """
+
+    scale: Fraction
+    exp: int
+    matrix: RingMatrix
+
+
+def integer_form(a: RingMatrix) -> IntegerMatrixForm | None:
+    """The fraction-free form of a, or None when a has none.
+
+    The form exists exactly when every nonzero entry of a is c * T^e for
+    one shared e, so every rational matrix has one.  It is checked against
+    a's entries before it is returned.
+    """
+    ring = a.ring
+    coeffs, exps = [], set()
+    for row in a.entries:
+        out = []
+        for x in row:
+            if ring.is_zero(x):
+                out.append(Fraction(0))
+                continue
+            part = ring.split_monomial(x)
+            if part is None:
+                return None
+            out.append(part[0])
+            exps.add(part[1])
+        coeffs.append(out)
+    if len(exps) > 1:
+        return None
+    den = math.lcm(*(c.denominator for row in coeffs for c in row))
+    rows = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in coeffs)
+    form = _primitive(Fraction(1, den), exps.pop() if exps else 0, rows)
+    unit = ring.monomial(form.scale, form.exp)
+    pairs = zip(a.entries, form.matrix.entries)
+    if any(unit * y != x for rx, ry in pairs for x, y in zip(rx, ry)):
+        raise ArithmeticError(f"integer form does not reproduce {a!r}")
+    return form
+
+
+def integer_form_inverse(f: IntegerMatrixForm, ring) -> IntegerMatrixForm:
+    """The form of the inverse of the matrix over ring with form f.
+
+    One fraction-free pass gives d = +-det(N) and d * N^-1 = +-adj(N), so
+    the inverse is (scale * d)^-1 * T^-exp * (d * N^-1), with no rational
+    entries.
+    Raises NonUnitDeterminant when d = 0, which is exactly when the matrix
+    is singular in ring.
+    """
+    d, _, rows = _fraction_free_inverse(f.matrix)
+    if rows is None:
+        raise NonUnitDeterminant(f"determinant 0 is not a unit of the {ring.name} ring")
+    return _primitive(1 / (f.scale * d), -f.exp, rows)
+
+
+def _primitive(scale: Fraction, exp: int, rows) -> IntegerMatrixForm:
+    """The form of scale * T^exp * rows, for int rows: the rows' content c
+    moves into the scale."""
+    c = math.gcd(*(x for row in rows for x in row))
+    if not c:
+        return IntegerMatrixForm(Fraction(1), 0, RingMatrix._of(INTEGER, rows))
+    if c != 1:
+        scale = scale * c
+        rows = tuple(tuple(x // c for x in row) for row in rows)
+    return IntegerMatrixForm(scale, exp, RingMatrix._of(INTEGER, rows))
 
 
 def char_poly(a: RingMatrix) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .blockreps import BlockRep, series_constructor
 from .errors import ParseError
@@ -65,6 +66,14 @@ def swap_block_rep() -> BlockRep:
     return series_constructor("II", RingMatrix(RATIONAL, [[1]]))
 
 
+@lru_cache(maxsize=64)
+def _swap_bracket(t: Fraction):
+    """The swap representation and its simplicity verdict at t, checked once
+    per t: neither depends on anything else."""
+    rep = swap_block_rep()
+    return rep, simplicity_check(rep, t, SIMPLICITY_MAX_LEN)
+
+
 def _read_t(t, read, kind: str):
     try:
         return read(t)
@@ -91,9 +100,8 @@ def invariant_function(invariant: str, m: int, t, seed: int):
         scheme = conjugated_u_scheme(m, seed)
         return lambda w: group_trace_invariant(w, scheme)
     if invariant == "bracket":
-        rep = swap_block_rep()
         t = _read_t(t, Fraction, "a rational number")
-        verdict = simplicity_check(rep, t, SIMPLICITY_MAX_LEN)
+        rep, verdict = _swap_bracket(t)
         return lambda w: bracket_invariant(rep, w, t, verdict=verdict)
     raise ParseError(f"unknown invariant: {invariant}")
 

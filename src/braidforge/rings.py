@@ -2,15 +2,21 @@
 
 Two coefficient rings are used throughout the package: the rationals, backed
 by ``fractions.Fraction``, and single-variable Laurent polynomials over the
-rationals.  Both are immutable, support exact equality, and never round.
+rationals.  Both are immutable, support exact equality, and never round.  A
+third descriptor, INTEGER (Python ``int``, exact ``//``), carries the
+fraction-free forms: a matrix or tensor whose nonzero entries are all c*T^e
+for one shared e is a unit of its ring times an integer one (see
+``matrix.integer_form``), and its products, inverses and traces then run on
+plain ints.
 
 A Laurent polynomial is a finite map exponent -> Fraction with no stored zero
 coefficients; the zero polynomial is the empty map.  The canonical text form
 sorts terms by ascending exponent and joins them with " + ", e.g.
 ``-1/2*T^-1 + 3*T^2``; a constant term is printed bare ("3"), and the zero
 polynomial is "0".  The ring descriptors RATIONAL and LAURENT decide all
-ring-dependent arithmetic (coercion, unit inverses, exact division and
-square roots), so code above this module needs no per-ring branches.
+ring-dependent arithmetic (coercion, unit inverses, exact division, square
+roots, and splitting a monomial c*T^e into c and e), so code above this
+module needs no per-ring branches.
 """
 
 from __future__ import annotations
@@ -321,6 +327,15 @@ class RationalRing:
     def div_int(self, a: Fraction, n: int) -> Fraction:
         return a / n
 
+    def split_monomial(self, x: Fraction) -> tuple[Fraction, int]:
+        """(c, e) with x = c * T^e; every rational is c * T^0."""
+        return x, 0
+
+    def monomial(self, c: Fraction, e: int) -> Fraction:
+        if e:
+            raise ValueError(f"T^{e} is not a rational")
+        return c
+
     def to_text(self, x: Fraction) -> str:
         return str(x)
 
@@ -361,6 +376,16 @@ class LaurentRing:
     def div_int(self, a: LaurentPoly, n: int) -> LaurentPoly:
         return a * Fraction(1, n)
 
+    def split_monomial(self, x: LaurentPoly) -> tuple[Fraction, int] | None:
+        """(c, e) with x = c * T^e, or None unless x is a nonzero monomial."""
+        if not x.is_unit():
+            return None
+        ((e, c),) = x._coeffs.items()
+        return c, e
+
+    def monomial(self, c: Fraction, e: int) -> LaurentPoly:
+        return LaurentPoly._of({e: c})
+
     def to_text(self, x: LaurentPoly) -> str:
         return x.text()
 
@@ -368,7 +393,72 @@ class LaurentRing:
         return parse_laurent(s)
 
 
+class IntegerRing:
+    """The integers as Python ints: the ring of fraction-free forms.
+
+    Only exact results exist here: division and square roots raise when
+    the quotient or root is not an integer, and the units are 1 and -1.
+    """
+
+    name = "integer"
+    zero = 0
+    one = 1
+
+    def coerce(self, x) -> int:
+        if isinstance(x, LaurentPoly):
+            x = x.constant_value()
+        if isinstance(x, int):
+            return int(x)
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return x.numerator
+        raise ValueError(f"not an integer: {x!r}")
+
+    def is_zero(self, x: int) -> bool:
+        return not x
+
+    def is_unit(self, x: int) -> bool:
+        return x in (1, -1)
+
+    def unit_inverse(self, x: int) -> int:
+        if x not in (1, -1):
+            raise NonUnitDeterminant(f"{x} is not a unit of the integers")
+        return x
+
+    def exact_div(self, a: int, b: int) -> int:
+        q, r = divmod(a, b)
+        if r:
+            raise ValueError(f"inexact integer division: {a} / {b}")
+        return q
+
+    def sqrt(self, x: int) -> int:
+        r = math.isqrt(x) if x >= 0 else -1
+        if r * r != x:
+            raise NoExactRoot(f"no integer square root: {x}")
+        return r
+
+    def div_int(self, a: int, n: int) -> int:
+        return self.exact_div(a, n)
+
+    def split_monomial(self, x: int) -> tuple[Fraction, int]:
+        return Fraction(x), 0
+
+    def monomial(self, c: Fraction, e: int) -> int:
+        if e:
+            raise ValueError(f"T^{e} is not an integer")
+        return self.coerce(c)
+
+    def to_text(self, x: int) -> str:
+        return str(x)
+
+    def from_text(self, s: str) -> int:
+        try:
+            return int(s.strip())
+        except ValueError as exc:
+            raise ParseError(f"bad integer: {s!r}") from exc
+
+
 RATIONAL = RationalRing()
 LAURENT = LaurentRing()
+INTEGER = IntegerRing()
 
 T = LaurentPoly.var()

@@ -15,11 +15,23 @@ on three strands and compared entry by entry, which lists the violations.
 Traces of word images can be computed three ways: densely (small n only), by
 sparse row contraction, or, for tensors built from a matrix pair, by folding
 the word onto per-strand matrix products and multiplying cycle traces.
+
+A tensor whose nonzero entries are all c*T^e for one shared e (every
+rational tensor, and every pair tensor the presets build) has an integer
+form s*T^e*N: a rational scale s, an exponent e and a tensor N over INTEGER
+(IntegerTensorForm, cached on the tensor when first asked for, together
+with the form of its inverse).  The pair check and all three trace routes
+then run on plain ints: the routes on N and on the inverse's integer
+tensor, with the scales and exponents applied once to the integer trace.
+Any other tensor (an entry such as 1 + T, or two entries of different
+degree) runs the same code in its own ring: the Laurent path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 from .braids import BraidWord, cycle_products, fold_labels, underlying_permutation
 from .errors import (
@@ -30,7 +42,14 @@ from .errors import (
     SingularInput,
     ZeroScalar,
 )
-from .matrix import RingMatrix, mat_det, mat_inverse
+from .matrix import (
+    IntegerMatrixForm,
+    RingMatrix,
+    integer_form,
+    integer_form_inverse,
+    mat_det,
+    mat_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -65,6 +84,23 @@ class BraidTensor:
         i1, i2, j1, j2 = idx
         return self.entries[i1][i2][j1][j2]
 
+    @cached_property
+    def integer_form(self) -> "IntegerTensorForm | None":
+        """This tensor as s * T^e * N with N over INTEGER, or None if it has
+        no such form (some nonzero entry is not c * T^e for one shared e).
+
+        A pair tensor takes the forms of its two matrices (each checked
+        against its entries by matrix.integer_form); any other tensor takes
+        the form of its m^2 x m^2 matrix.
+        """
+        if self.pair is not None:
+            fa, fb = (integer_form(x) for x in self.pair)
+            return None if fa is None or fb is None else _pair_form(self.ring, fa, fb)
+        f = integer_form(tensor_to_matrix(self))
+        if f is None:
+            return None
+        return IntegerTensorForm(self.ring, f.scale, f.exp, matrix_to_tensor(f.matrix, self.m))
+
     def to_jsonable(self) -> dict:
         return {
             "m": self.m,
@@ -77,6 +113,41 @@ class BraidTensor:
                 for block in self.entries
             ],
         }
+
+
+@dataclass(frozen=True)
+class IntegerTensorForm:
+    """A tensor over ring as scale * T^exp * tensor, with tensor over INTEGER.
+
+    The form of a pair tensor (a, b) keeps the forms of a and b: its scale
+    and exponent are their products and sums, and its tensor is the pair
+    tensor of their integer matrices, so the slots trace folds integers.
+    """
+
+    ring: object
+    scale: Fraction
+    exp: int
+    tensor: BraidTensor
+    pair: tuple[IntegerMatrixForm, IntegerMatrixForm] | None = None
+
+    @cached_property
+    def inverse(self) -> "IntegerTensorForm":
+        """The form of the inverse tensor: one fraction-free pass per pair
+        matrix, or one on the m^2 x m^2 matrix of any other tensor."""
+        if self.pair is not None:
+            fa, fb = (integer_form_inverse(f, self.ring) for f in self.pair)
+            return _pair_form(self.ring, fb, fa)
+        f = IntegerMatrixForm(self.scale, self.exp, tensor_to_matrix(self.tensor))
+        inv = integer_form_inverse(f, self.ring)
+        return IntegerTensorForm(
+            self.ring, inv.scale, inv.exp, matrix_to_tensor(inv.matrix, self.tensor.m)
+        )
+
+
+def _pair_form(ring, fa: IntegerMatrixForm, fb: IntegerMatrixForm) -> IntegerTensorForm:
+    """The form of the pair tensor of the matrices with forms fa and fb."""
+    tensor = _pair_tensor(fa.matrix, fb.matrix)
+    return IntegerTensorForm(ring, fa.scale * fb.scale, fa.exp + fb.exp, tensor, (fa, fb))
 
 
 def tensor_to_matrix(T: BraidTensor) -> RingMatrix:
@@ -121,8 +192,13 @@ def tensor_from_matrix_pair(a: RingMatrix, b: RingMatrix) -> BraidTensor:
     ring = a.ring
     if not ring.is_unit(mat_det(a)) or not ring.is_unit(mat_det(b)):
         raise SingularInput("both matrices of the pair must be invertible")
+    return _pair_tensor(a, b)
+
+
+def _pair_tensor(a: RingMatrix, b: RingMatrix) -> BraidTensor:
+    """The pair tensor of (a, b), with the pair recorded; no checks."""
     T = BraidTensor.from_function(
-        a.rows, ring, lambda i1, i2, j1, j2: b.entries[i1][j2] * a.entries[i2][j1]
+        a.rows, a.ring, lambda i1, i2, j1, j2: b.entries[i1][j2] * a.entries[i2][j1]
     )
     object.__setattr__(T, "pair", (a, b))
     return T
@@ -182,11 +258,32 @@ def _pair_identities_hold(T: BraidTensor, U: BraidTensor) -> bool:
     factors are invertible, so "xv" holds exactly when a1 b1 = b2 a2, and
     "xvi" (roles swapped) when a2 b2 = b1 a1.  With U = T both read a b = b a,
     the period-1 equation "viii".
+
+    With integer forms each side is s * T^e times a product of integer
+    matrices, and the integer products are compared.
     """
     if T.pair is None or U.pair is None:
         return False
-    (a1, b1), (a2, b2) = T.pair, U.pair
-    return a1 * b1 == b2 * a2 and (U is T or a2 * b2 == b1 * a1)
+    ft, fu = T.integer_form, U.integer_form
+    if ft is None or fu is None:
+        (a1, b1), (a2, b2) = T.pair, U.pair
+        return a1 * b1 == b2 * a2 and (U is T or a2 * b2 == b1 * a1)
+
+    (a1, b1), (a2, b2) = ft.tensor.pair, fu.tensor.pair
+    return _scaled_equal(ft, a1 * b1, fu, b2 * a2) and (
+        U is T or _scaled_equal(fu, a2 * b2, ft, b1 * a1)
+    )
+
+
+def _scaled_equal(f, x: RingMatrix, g, y: RingMatrix) -> bool:
+    """Whether s T^e x equals s' T^e' y, for the scales and exponents of the
+    forms f and g and integer matrices x and y."""
+    if f.scale == g.scale and f.exp == g.exp:
+        return x == y
+    if f.exp != g.exp:
+        return x.is_zero() and y.is_zero()
+    r = g.scale / f.scale
+    return x.scale(r.denominator) == y.scale(r.numerator)
 
 
 def _violations(
@@ -251,7 +348,14 @@ def _scalar_of(gamma, ring):
 
 
 class SlotOperator:
-    """The operator acting as a tensor on factors (i, i+1), identity elsewhere."""
+    """The operator acting as a tensor on factors (i, i+1), identity elsewhere.
+
+    A basis index of the n-fold product is a base-m number whose digits are
+    the factors' indices.  The digits at factors i and i+1 read together as
+    uv = (col // stride) % m^2, and the operator sends col to col + offset,
+    times val, for each (offset, val) in moves[uv]: the nonzero entries
+    T[u][v][p][q], with offset = (p m + q - uv) * stride.
+    """
 
     def __init__(self, T: BraidTensor, strands: int, index: int):
         if not 1 <= index <= strands - 1:
@@ -261,68 +365,43 @@ class SlotOperator:
         self.T = T
         self.strands = strands
         self.index = index
+        m, is_zero = T.m, T.ring.is_zero
+        self.stride = stride = m ** (strands - index - 1)
+        self.moves = tuple(
+            tuple(
+                ((p * m + q - uv) * stride, x)
+                for p, row in enumerate(block)
+                for q, x in enumerate(row)
+                if not is_zero(x)
+            )
+            for uv, block in enumerate(b for rows in T.entries for b in rows)
+        )
 
     def to_matrix(self) -> RingMatrix:
         """The dense m^n x m^n matrix; intended for small strand counts only."""
-        T, n, i = self.T, self.strands, self.index
-        m, ring = T.m, T.ring
-        dim = m**n
-        zero = ring.zero
+        dim = self.T.m**self.strands
+        zero, stride, moves, mm = self.T.ring.zero, self.stride, self.moves, self.T.m**2
         rows = [[zero] * dim for _ in range(dim)]
-        configs = list(_configs(m, n))
-        for row_cfg in configs:
-            row = _config_rank(row_cfg, m)
-            u, v = row_cfg[i - 1], row_cfg[i]
-            for p in range(m):
-                for q in range(m):
-                    val = T[u, v, p, q]
-                    if ring.is_zero(val):
-                        continue
-                    col_cfg = row_cfg[: i - 1] + (p, q) + row_cfg[i + 1 :]
-                    rows[row][_config_rank(col_cfg, m)] = val
-        return RingMatrix(ring, rows)
+        for row, out in enumerate(rows):
+            for offset, val in moves[(row // stride) % mm]:
+                out[row + offset] = val
+        return RingMatrix._of(self.T.ring, tuple(map(tuple, rows)))
 
     def apply_rows(self, rows: dict[int, dict[int, object]]) -> dict[int, dict[int, object]]:
         """Right-multiply a sparse row map {row: {col: coeff}} by this operator."""
-        T, n, i = self.T, self.strands, self.index
-        m, ring = T.m, T.ring
+        stride, moves, mm = self.stride, self.moves, self.T.m**2
+        is_zero = self.T.ring.is_zero
         out: dict[int, dict[int, object]] = {}
         for row, cols in rows.items():
             acc: dict[int, object] = {}
             for col, coeff in cols.items():
-                cfg = _config_unrank(col, m, n)
-                u, v = cfg[i - 1], cfg[i]
-                for p in range(m):
-                    for q in range(m):
-                        val = T[u, v, p, q]
-                        if ring.is_zero(val):
-                            continue
-                        new_col = _config_rank(cfg[: i - 1] + (p, q) + cfg[i + 1 :], m)
-                        cur = acc.get(new_col)
-                        term = coeff * val
-                        acc[new_col] = term if cur is None else cur + term
-            out[row] = {c: x for c, x in acc.items() if not ring.is_zero(x)}
+                for offset, val in moves[(col // stride) % mm]:
+                    new_col = col + offset
+                    cur = acc.get(new_col)
+                    term = coeff * val
+                    acc[new_col] = term if cur is None else cur + term
+            out[row] = {c: x for c, x in acc.items() if not is_zero(x)}
         return out
-
-
-def _configs(m: int, n: int):
-    cfg = [0] * n
-    while True:
-        yield tuple(cfg)
-        for pos in range(n - 1, -1, -1):
-            cfg[pos] += 1
-            if cfg[pos] < m:
-                break
-            cfg[pos] = 0
-        else:
-            return
-
-
-def _config_rank(cfg: tuple[int, ...], m: int) -> int:
-    rank = 0
-    for x in cfg:
-        rank = rank * m + x
-    return rank
 
 
 def _config_unrank(rank: int, m: int, n: int) -> tuple[int, ...]:
@@ -340,68 +419,83 @@ def tensor_rep_trace(T: BraidTensor, w: BraidWord, method: str = "auto"):
     "contract" right-multiplies a sparse row map by each local operator;
     "slots" folds the word onto per-strand matrix products, available when the
     tensor was built from a matrix pair.  "auto" picks the fastest valid one.
+
+    A tensor with an integer form s * T^e * N runs the route on N and on
+    the inverse's form s' * T^e' * N', then multiplies the integer trace
+    once by s^p s'^q T^(e p + e' q), for p positive and q negative letters.
+    Any other tensor runs the route in its own ring.
     """
     if method == "auto":
         method = "slots" if T.pair is not None else "contract"
-    if method == "slots":
-        return _trace_by_slots(T, w)
-    if method == "dense":
-        return _trace_dense(T, w)
-    if method == "contract":
-        return _trace_by_contraction(T, w)
-    raise ValueError(f"unknown trace method: {method}")
+    route = _ROUTES.get(method)
+    if route is None:
+        raise ValueError(f"unknown trace method: {method}")
+    if method == "slots" and T.pair is None:
+        raise NoMatrixPair("the slots trace needs a tensor built from a matrix pair")
+    negative = sum(1 for k in w.letters if k < 0)
+    form = T.integer_form
+    if form is None:
+        return route(T, tensor_inverse(T) if negative else None, w)
+    positive = len(w.letters) - negative
+    scale, exp, inverse = form.scale**positive, form.exp * positive, None
+    if negative:
+        inv = form.inverse
+        scale, exp, inverse = scale * inv.scale**negative, exp + inv.exp * negative, inv.tensor
+    trace = route(form.tensor, inverse, w)
+    return T.ring.monomial(scale * trace, exp) if trace else T.ring.zero
 
 
-def _trace_dense(T: BraidTensor, w: BraidWord):
-    n = w.strands
-    ring = T.ring
-    result = RingMatrix.identity(ring, T.m**n)
-    inv = None
-    for letter in w.letters:
-        if letter > 0:
-            op = SlotOperator(T, n, letter).to_matrix()
-        else:
-            if inv is None:
-                inv = tensor_inverse(T)
-            op = SlotOperator(inv, n, -letter).to_matrix()
-        result = result * op
+# Each route takes the tensor, its inverse (None when the word has no
+# negative letter) and the word, and computes in the tensors' ring.
+
+
+def _slot_operators(T: BraidTensor, inverse: BraidTensor | None, w: BraidWord):
+    """One SlotOperator per distinct letter of the word."""
+    return {
+        k: SlotOperator(T if k > 0 else inverse, w.strands, abs(k)) for k in set(w.letters)
+    }
+
+
+def _trace_dense(T: BraidTensor, inverse: BraidTensor | None, w: BraidWord):
+    dense = {k: op.to_matrix() for k, op in _slot_operators(T, inverse, w).items()}
+    if not w.letters:
+        return T.ring.one * T.m**w.strands
+    result = dense[w.letters[0]]
+    for letter in w.letters[1:]:
+        result = result * dense[letter]
     return result.trace()
 
 
-def _trace_by_contraction(T: BraidTensor, w: BraidWord):
-    n = w.strands
+def _trace_by_contraction(T: BraidTensor, inverse: BraidTensor | None, w: BraidWord):
+    ops = _slot_operators(T, inverse, w)
     ring = T.ring
-    dim = T.m**n
+    dim = T.m**w.strands
     rows: dict[int, dict[int, object]] = {r: {r: ring.one} for r in range(dim)}
-    inv = None
     for letter in w.letters:
-        if letter > 0:
-            op = SlotOperator(T, n, letter)
-        else:
-            if inv is None:
-                inv = tensor_inverse(T)
-            op = SlotOperator(inv, n, -letter)
-        rows = op.apply_rows(rows)
+        rows = ops[letter].apply_rows(rows)
     return sum((rows[r].get(r, ring.zero) for r in range(dim)), ring.zero)
 
 
-def _trace_by_slots(T: BraidTensor, w: BraidWord):
+def _trace_by_slots(T: BraidTensor, inverse: BraidTensor | None, w: BraidWord):
     """Fold the word onto one matrix product per strand, then multiply
     the traces of the label products around each closure cycle.
 
     For a tensor built from the pair (a, b), the generator acts on adjacent
     factors by swapping them and inserting b on one strand and a on the
-    other (a^-1 and b^-1 for its inverse); the full trace therefore factors
-    over the cycles of the underlying permutation.
+    other (a^-1 and b^-1 for its inverse, the pair tensor of (b^-1, a^-1));
+    the full trace therefore factors over the cycles of the underlying
+    permutation.
     """
-    if T.pair is None:
-        raise NoMatrixPair("the slots trace needs a tensor built from a matrix pair")
-    a, b = T.pair
-    inverse = (mat_inverse(a), mat_inverse(b)) if any(k < 0 for k in w.letters) else None
-    strand_labels = fold_labels(
-        w, RingMatrix.identity(T.ring, T.m), lambda k: (b, a) if k > 0 else inverse
-    )
+
+    def labels_of(letter: int):
+        a, b = (T if letter > 0 else inverse).pair
+        return b, a
+
+    strand_labels = fold_labels(w, RingMatrix.identity(T.ring, T.m), labels_of)
     total = T.ring.one
     for prod in cycle_products(underlying_permutation(w), strand_labels):
         total = total * prod.trace()
     return total
+
+
+_ROUTES = {"slots": _trace_by_slots, "contract": _trace_by_contraction, "dense": _trace_dense}

@@ -43,6 +43,7 @@ from braidforge.matrix import (
     random_invertible_matrix,
     random_rational_matrix,
 )
+from braidforge import invariants, presets
 from braidforge.presets import (
     conjugated_u_scheme,
     inverse_scheme,
@@ -201,6 +202,28 @@ class TestLabelSchemes:
                 scheme.verify_compatibility(3)
         with pytest.raises(RelationViolated):
             gbraid_from_braid(BraidWord(4, (1,)), scheme)
+
+
+    def test_inverse_labels_inverted_once(self, monkeypatch):
+        w = BraidWord(4, (-1, 2, -3, -1, -2, 3, -3))
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return mat_inverse(a)
+
+        monkeypatch.setattr(invariants, "mat_inverse", counting)
+        for make in SCHEMES.values():
+            scheme = make(9)
+            first = gbraid_from_braid(w, scheme)
+            calls.clear()
+            assert gbraid_from_braid(w, scheme) == first
+            assert calls == []
+            for s in (1, 2, 3):
+                b_inv, a_inv = scheme.inverse_labels(s)
+                assert b_inv * scheme.b(s) == scheme.a(s) * a_inv == RingMatrix.identity(
+                    scheme.ring, 2
+                )
 
 
 class TestFoldOracle:
@@ -433,6 +456,25 @@ class TestSimplicityAndBracket:
         rep = series_constructor("II", RingMatrix(RATIONAL, [[2]]))
         with pytest.raises(SimplicityUnverified):
             bracket_invariant(rep, TREFOIL, Fraction(1))
+
+    def test_bracket_verdict_checked_once_per_t(self, monkeypatch):
+        calls = []
+
+        def counting(rep, t, max_len):
+            calls.append(t)
+            return simplicity_check(rep, t, max_len)
+
+        monkeypatch.setattr(presets, "simplicity_check", counting)
+        presets._swap_bracket.cache_clear()
+        try:
+            fns = [invariant_function("bracket", 1, t, 3) for t in ("1", "1", "2", "1")]
+        finally:
+            presets._swap_bracket.cache_clear()
+        assert calls == [Fraction(1), Fraction(2)]
+        assert fns[0](TREFOIL) == fns[1](TREFOIL) == fns[3](TREFOIL)
+        # The cached verdict still gates: the swap representation fails at t = 2.
+        with pytest.raises(SimplicityUnverified):
+            fns[2](TREFOIL)
 
     def test_bracket_markov_suite(self):
         fn = invariant_function("bracket", 1, 1, 31)

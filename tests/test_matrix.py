@@ -1,5 +1,6 @@
 """Exact dense linear algebra over the rational and Laurent rings."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,13 +12,15 @@ from braidforge.errors import DimensionMismatch, NonUnitDeterminant
 from braidforge.matrix import (
     RingMatrix,
     char_poly,
+    integer_form,
+    integer_form_inverse,
     kron,
     mat_det,
     mat_inverse,
     random_invertible_matrix,
     random_rational_matrix,
 )
-from braidforge.rings import LAURENT, RATIONAL, LaurentPoly
+from braidforge.rings import INTEGER, LAURENT, RATIONAL, LaurentPoly
 
 q = LaurentPoly.var()
 
@@ -389,3 +392,55 @@ class TestKron:
 def test_jsonable_round_trip():
     m = burau_block()
     assert RingMatrix.from_jsonable(LAURENT, m.to_jsonable()) == m
+
+
+@st.composite
+def monomial_matrices(draw, ring, max_n=4):
+    """s * T^e * M for a small integer M (singular ones included), over ring."""
+    n = draw(st.integers(0, max_n))
+    entries = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    exp = draw(st.integers(-3, 3)) if ring is LAURENT else 0
+    return RingMatrix(ring, entries).scale(ring.monomial(scale, exp))
+
+
+class TestIntegerForm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([RATIONAL, LAURENT]), st.data())
+    def test_form_reproduces_entries(self, ring, data):
+        a = data.draw(monomial_matrices(ring))
+        scale, exp, n = integer_form(a)
+        assert n.ring is INTEGER
+        assert all(type(x) is int for row in n.entries for x in row)
+        assert n.to_ring(ring).scale(ring.monomial(scale, exp)) == a
+        if not a.is_zero():
+            # Primitive: the content went into the scale.
+            assert math.gcd(*(x for row in n.entries for x in row)) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([RATIONAL, LAURENT]), st.data())
+    def test_inverse_matches_mat_inverse(self, ring, data):
+        a = data.draw(monomial_matrices(ring))
+        f = integer_form(a)
+        if mat_det(a) == 0:
+            with pytest.raises(NonUnitDeterminant):
+                integer_form_inverse(f, ring)
+            return
+        scale, exp, n = integer_form_inverse(f, ring)
+        assert n.to_ring(ring).scale(ring.monomial(scale, exp)) == mat_inverse(a)
+
+    def test_mixed_degrees_have_no_form(self):
+        assert integer_form(burau_block()) is None
+        assert integer_form(RingMatrix(LAURENT, [[q, 0], [0, 1]])) is None
+        assert integer_form(RingMatrix(LAURENT, [[q, 0], [0, 2 * q]])) is not None
+
+    def test_zero_matrix(self):
+        scale, exp, n = integer_form(RingMatrix.zeros(LAURENT, 2))
+        assert (scale, exp) == (1, 0) and n.is_zero()
+
+    def test_integer_inverse_is_adjugate(self):
+        # Over the integers only det = +-1 is a unit.
+        a = RingMatrix(INTEGER, [[2, 1], [1, 1]])
+        assert mat_inverse(a) == RingMatrix(INTEGER, [[1, -1], [-1, 2]])
+        with pytest.raises(NonUnitDeterminant, match="determinant 3"):
+            mat_inverse(RingMatrix(INTEGER, [[2, 1], [1, 2]]))

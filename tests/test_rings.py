@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from braidforge.errors import NoExactRoot, NonUnitDeterminant, ParseError
 from braidforge.rings import (
+    INTEGER,
     LAURENT,
     RATIONAL,
     LaurentPoly,
@@ -151,3 +152,45 @@ def test_laurent_ring_interface():
     assert LAURENT.sqrt(LaurentPoly.monomial(4, -2)) == LaurentPoly.monomial(2, -1)
     with pytest.raises(NoExactRoot):
         LAURENT.sqrt(T)
+
+
+class TestIntegerRing:
+    def test_coerce(self):
+        assert INTEGER.coerce(3) == 3 and type(INTEGER.coerce(3)) is int
+        assert INTEGER.coerce(Fraction(-4)) == -4
+        assert INTEGER.coerce(LaurentPoly.const(5)) == 5
+        with pytest.raises(ValueError):
+            INTEGER.coerce(Fraction(1, 2))
+        with pytest.raises(ValueError):
+            INTEGER.coerce(T)
+
+    def test_units_and_division(self):
+        assert INTEGER.is_unit(-1) and not INTEGER.is_unit(2)
+        assert INTEGER.unit_inverse(-1) == -1
+        with pytest.raises(NonUnitDeterminant):
+            INTEGER.unit_inverse(2)
+        assert INTEGER.exact_div(-12, 4) == -3
+        with pytest.raises(ValueError, match="inexact"):
+            INTEGER.exact_div(7, 2)
+        assert INTEGER.div_int(9, 3) == 3
+
+    def test_sqrt_and_text(self):
+        assert INTEGER.sqrt(49) == 7
+        for x in (-4, 8):
+            with pytest.raises(NoExactRoot):
+                INTEGER.sqrt(x)
+        assert INTEGER.from_text(INTEGER.to_text(-17)) == -17
+        with pytest.raises(ParseError):
+            INTEGER.from_text("1/2")
+
+    @given(laurent_strategy)
+    def test_split_monomial(self, x):
+        parts = LAURENT.split_monomial(x)
+        if len(x.coeffs) != 1:
+            assert parts is None
+        else:
+            c, e = parts
+            assert LAURENT.monomial(c, e) == x
+        assert RATIONAL.split_monomial(Fraction(3, 4)) == (Fraction(3, 4), 0)
+        with pytest.raises(ValueError):
+            RATIONAL.monomial(Fraction(1), 1)

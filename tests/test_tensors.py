@@ -12,12 +12,13 @@ from braidforge.braids import BraidWord, parse_braid_word, random_braid_word
 from braidforge.errors import (
     DimensionMismatch,
     NoMatrixPair,
+    NonUnitDeterminant,
     NotScalar,
     SingularInput,
     ZeroScalar,
 )
 from braidforge.matrix import RingMatrix, kron, mat_inverse, random_invertible_matrix
-from braidforge.rings import LAURENT, RATIONAL, LaurentPoly
+from braidforge.rings import INTEGER, LAURENT, RATIONAL, LaurentPoly
 from braidforge.presets import standard_tensor
 from braidforge.tensors import (
     BraidTensor,
@@ -451,3 +452,190 @@ def test_jsonable():
     data = t.to_jsonable()
     assert data["m"] == 2
     assert isinstance(data["entries"], list)
+
+
+# -- integer forms -----------------------------------------------------------
+
+
+def contraction_oracle(T, w):
+    """The trace by the Laurent contraction the integer path replaced.
+
+    One sparse row map in the tensor's own ring, each letter applied by
+    unranking and reranking whole configurations, with the inverse taken
+    from the m^2 x m^2 matrix; no integer form is involved.
+    """
+    m, ring = T.m, T.ring
+    inv = None
+    if any(k < 0 for k in w.letters):
+        inv = matrix_to_tensor(mat_inverse(tensor_to_matrix(T)), m)
+    configs = list(itertools.product(range(m), repeat=w.strands))
+    rank = {cfg: r for r, cfg in enumerate(configs)}
+    rows = {r: {r: ring.one} for r in range(len(configs))}
+    for letter in w.letters:
+        X, i = (T if letter > 0 else inv), abs(letter)
+        out = {}
+        for row, cols in rows.items():
+            acc = {}
+            for col, coeff in cols.items():
+                cfg = configs[col]
+                for p, q in itertools.product(range(m), repeat=2):
+                    val = X[cfg[i - 1], cfg[i], p, q]
+                    if not ring.is_zero(val):
+                        new = rank[cfg[: i - 1] + (p, q) + cfg[i + 1 :]]
+                        acc[new] = acc.get(new, ring.zero) + coeff * val
+            out[row] = acc
+        rows = out
+    return sum((rows[r].get(r, ring.zero) for r in rows), ring.zero)
+
+
+@st.composite
+def monomial_factors(draw, ring, m):
+    """s * T^e * a for a seeded invertible integer a."""
+    a = random_invertible_matrix(m, random.Random(draw(st.integers(0, 1 << 16))))
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+    exp = draw(st.integers(-2, 2)) if ring is LAURENT else 0
+    return a.to_ring(ring).scale(ring.monomial(scale, exp))
+
+
+@st.composite
+def monomial_tensors(draw):
+    """Pair tensors of two monomial factors over either ring, m = 1-3, or
+    their pair-less twins."""
+    ring = draw(st.sampled_from([RATIONAL, LAURENT]))
+    m = draw(st.integers(1, 3))
+    t = tensor_from_matrix_pair(
+        draw(monomial_factors(ring, m)), draw(monomial_factors(ring, m))
+    )
+    return unpaired(t) if draw(st.booleans()) else t
+
+
+@st.composite
+def oracle_words(draw, m):
+    """Words of 1-5 strands, empty and negative letters included; at m = 3
+    at most 3 strands, so that the Laurent oracle stays cheap."""
+    strands = draw(st.integers(1, 5 if m < 3 else 3))
+    if strands == 1:
+        return BraidWord(1)
+    letter = st.builds(
+        lambda i, sign: i * sign, st.integers(1, strands - 1), st.sampled_from((1, -1))
+    )
+    return BraidWord(strands, tuple(draw(st.lists(letter, max_size=5))))
+
+
+def laurent_shear_pair() -> BraidTensor:
+    """The pair (a, T a^-1) with a = [[1, 1 + T], [0, 1]]: entries of mixed
+    degree, so the tensor has no integer form."""
+    a = RingMatrix(LAURENT, [[1, 1 + T], [0, 1]])
+    return tensor_from_matrix_pair(a, mat_inverse(a).scale(T))
+
+
+class TestIntegerPath:
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_tensors(), st.data())
+    def test_routes_match_laurent_oracle(self, t, data):
+        assert t.integer_form is not None
+        w = data.draw(oracle_words(t.m))
+        expected = contraction_oracle(t, w)
+        routes = ("contract", "dense") + (("slots",) if t.pair is not None else ())
+        for route in routes:
+            value = tensor_rep_trace(t, w, route)
+            assert value == expected
+            assert type(value) is type(t.ring.zero)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([RATIONAL, LAURENT]), st.integers(1, 2), st.data())
+    def test_pair_check_matches_oracle(self, ring, m, data):
+        a = data.draw(monomial_factors(ring, m))
+        e = 1 if ring is LAURENT else 0
+        # b = c a^-1 commutes with a; a random b usually does not.
+        if data.draw(st.booleans()):
+            b = mat_inverse(a).scale(ring.monomial(data.draw(st.sampled_from([1, -2])), e))
+        else:
+            b = data.draw(monomial_factors(ring, m))
+        t = tensor_from_matrix_pair(a, b)
+        assert check_braid_equation(t) == oracle_violations(t)
+        # A partner with rescaled factors: a2 b2 = a b, with other scales.
+        mu = ring.monomial(data.draw(st.sampled_from([Fraction(2), Fraction(-1, 3)])), e)
+        u = tensor_from_matrix_pair(a.scale(mu), b.scale(ring.unit_inverse(mu)))
+        assert check_braid_equation(t, u) == oracle_violations(t, u)
+        assert check_braid_equation(u, t) == oracle_violations(u, t)
+
+    def test_routes_run_on_integers(self, monkeypatch):
+        t = standard_tensor(2, 5)
+        w = parse_braid_word("1 -2 1 -2", 3)
+        expected = {r: tensor_rep_trace(t, w, r) for r in ("slots", "contract", "dense")}
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        for route, value in expected.items():
+            assert tensor_rep_trace(t, w, route) == value
+        assert check_braid_equation(t) == []
+        assert calls == []
+
+    def test_form_of_standard_tensor(self):
+        t = standard_tensor(3, 7)
+        f = t.integer_form
+        assert f.tensor.ring is INTEGER and f.tensor.pair is not None
+        unit = LAURENT.monomial(f.scale, f.exp)
+        assert BraidTensor.from_function(
+            3, LAURENT, lambda *idx: unit * f.tensor[idx]
+        ) == t
+        inv = f.inverse
+        unit = LAURENT.monomial(inv.scale, inv.exp)
+        assert BraidTensor.from_function(
+            3, LAURENT, lambda *idx: unit * inv.tensor[idx]
+        ) == tensor_inverse(t)
+
+
+class TestLaurentPath:
+    WORDS = (("", 1), ("1", 2), ("-1 -1 1", 2), ("1 -2 1 -2", 3), ("2 -1 3 -2", 4))
+
+    def test_mixed_degree_pair_matches_oracle(self):
+        t = laurent_shear_pair()
+        assert t.integer_form is None
+        assert check_braid_equation(t) == oracle_violations(t) == []
+        for text, strands in self.WORDS:
+            w = parse_braid_word(text, strands)
+            expected = contraction_oracle(t, w)
+            for route in ("slots", "contract", "dense"):
+                assert tensor_rep_trace(t, w, route) == expected
+
+    def test_pairless_laurent_tensor_matches_oracle(self):
+        t = unpaired(laurent_shear_pair())
+        assert t.integer_form is None
+        assert check_braid_equation(t) == oracle_violations(t) == []
+        for text, strands in self.WORDS:
+            w = parse_braid_word(text, strands)
+            expected = contraction_oracle(t, w)
+            for route in ("contract", "dense"):
+                assert tensor_rep_trace(t, w, route) == expected
+        # A failing pair-less Laurent tensor lists its violations as before.
+        a = RingMatrix(LAURENT, [[1, 1 + T], [0, 1]])
+        bad = unpaired(tensor_from_matrix_pair(a, RingMatrix(LAURENT, [[1, 0], [1, 1]])))
+        assert check_braid_equation(bad) == oracle_violations(bad) != []
+
+    def test_singular_tensors_raise(self):
+        w = parse_braid_word("1 -1", 2)
+        ones = BraidTensor.from_function(2, RATIONAL, lambda *idx: 1)
+        assert ones.integer_form is not None
+        mixed = BraidTensor.from_function(2, LAURENT, lambda *idx: 1 + T)
+        non_unit = matrix_to_tensor(
+            RingMatrix(
+                LAURENT,
+                [[1 + T if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)],
+            ),
+            2,
+        )
+        for t in (ones, mixed, non_unit):
+            for route in ("contract", "dense"):
+                with pytest.raises(NonUnitDeterminant):
+                    tensor_rep_trace(t, w, route)
+        assert tensor_rep_trace(ones, parse_braid_word("1 1", 2), "dense") == 16
+        a = RingMatrix(RATIONAL, [[1, 2], [2, 4]])
+        with pytest.raises(SingularInput):
+            tensor_from_matrix_pair(a, RingMatrix.identity(RATIONAL, 2))
