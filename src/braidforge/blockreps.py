@@ -316,6 +316,12 @@ def series_constructor(series: str, params) -> BlockRep:
         D = RingMatrix(ring, [[0, alpha], [0, 0]])
         return BlockRep.from_blocks(A, B, C, D)
     if series == "SQUARE_ZERO":
+        if not (
+            isinstance(params, (tuple, list))
+            and len(params) == 3
+            and all(isinstance(p, RingMatrix) and p.is_square() for p in params)
+        ):
+            raise InvalidSpec("SQUARE_ZERO requires three square matrices (A, B, C)")
         return square_zero_rep(*params)
     raise InvalidSpec(f"unknown series: {series}")
 
@@ -340,15 +346,8 @@ def square_zero_rep(A: RingMatrix, B: RingMatrix, C: RingMatrix) -> BlockRep:
     relations identically, and the block operator [[x, y], [I, t]] is
     invertible for every choice of inputs.
     """
-    n = A.rows
-    for m in (A, B, C):
-        if m.rows != n or m.cols != n:
-            raise DimensionMismatch("square-zero inputs must be equal-size squares")
-    a, b, c = _embed_upper(A), _embed_upper(B), _embed_upper(C)
-    ring = a.ring
-    ident = RingMatrix.identity(ring, 2 * n)
-    x, y, t = a, ident + c, b
-    return BlockRep.from_blocks(x, y, RingMatrix.identity(ring, 2 * n), t)
+    x, y, t = square_zero_assignment(A, B, C).values()
+    return BlockRep.from_blocks(x, y, RingMatrix.identity(x.ring, x.rows), t)
 
 
 def square_zero_assignment(
@@ -356,6 +355,9 @@ def square_zero_assignment(
 ) -> dict[str, RingMatrix]:
     """The (x, y, t) slot assignment of the square-zero family."""
     n = A.rows
+    for m in (A, B, C):
+        if m.rows != n or m.cols != n:
+            raise DimensionMismatch("square-zero inputs must be equal-size squares")
     a, b, c = _embed_upper(A), _embed_upper(B), _embed_upper(C)
     ident = RingMatrix.identity(a.ring, 2 * n)
     return {"x": a, "y": ident + c, "t": b}

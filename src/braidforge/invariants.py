@@ -33,7 +33,7 @@ from .errors import (
     TraceConditionFailed,
 )
 from .matrix import RingMatrix, char_poly, mat_inverse, random_invertible_matrix
-from .rings import LAURENT, RATIONAL, LaurentPoly, fraction_sqrt
+from .rings import LAURENT, RATIONAL, LaurentPoly
 from .tensors import BraidTensor, partial_trace_scalars, tensor_rep_trace
 
 # -- G-braids ---------------------------------------------------------------
@@ -60,18 +60,17 @@ class GBraid:
 class LabelScheme:
     """A rule attaching label pairs (a_s, b_s) to the braid generators.
 
-    rule INVERSE sets b_s = a_s^-1; T_INVERSE sets b_s = T * a_s^-1 over the
-    Laurent ring; CONJUGATED_U sets
-    b_s = (a_{s-1} ... a_1) u (a_{s-1} ... a_1)^-1 a_s^-1 for a chosen
-    invertible u.  Every rule satisfies the compatibility relation
-    a_i b_i = b_{i+1} a_{i+1}, checked by verify_compatibility.
+    The labels solve the compatibility relation a_i b_i = b_{i+1} a_{i+1}
+    from one invertible u: b_1 = u a_1^-1 and b_{s+1} = a_s b_s a_{s+1}^-1.
+    The rule picks u: I for INVERSE (b_s = a_s^-1), T I over the Laurent
+    ring for T_INVERSE (b_s = T a_s^-1), and the given u for CONJUGATED_U.
+    The scheme's ring is u's ring.
 
-    A scheme is immutable, so _cache (outside equality and hash) keeps a_s
-    as given or sampled, b_s, a_s^-1 and b_s^-1 (each inverted once), and
-    the pairs verified.  Under T_INVERSE it keeps b_s / T and lifts a_s and b_s
-    to the Laurent ring per call: a constant Laurent matrix takes several
-    times the memory of a rational one.  The inverses are kept in the
-    scheme's ring, one pair per index a word uses.
+    A scheme is immutable, so _cache (outside equality and hash) keeps the
+    pairs verified and, per index a word uses, (a_s, b_s, b_s^-1, a_s^-1) in
+    the scheme's ring.  With c_1 = u and c_s = a_{s-1} b_{s-1}, they are
+    b_s = c_s a_s^-1 and b_s^-1 = a_s c_s^-1, c_s^-1 = b_{s-1}^-1 a_{s-1}^-1,
+    so only a_s, and u once, are ever inverted.
     """
 
     rule: str
@@ -80,72 +79,58 @@ class LabelScheme:
     constant: RingMatrix | None = None
     seed: int | None = None
     u: RingMatrix | None = None
-    # "verified" -> k such that every pair below k passed.
+    # "labels" -> the tuples for s = 1, 2, ...; "verified" -> k such that
+    # every pair below k passed.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    RULES = ("INVERSE", "T_INVERSE", "CONJUGATED_U")
-
     def __post_init__(self):
-        if self.rule not in self.RULES:
-            raise RelationViolated(f"unknown label rule: {self.rule}")
-        if self.rule == "CONJUGATED_U" and self.u is None:
-            raise RelationViolated("CONJUGATED_U requires the element u")
         if self.matrices is None and self.constant is None and self.seed is None:
             raise RelationViolated("no source for the a_s sequence")
+        if self.rule == "INVERSE":
+            object.__setattr__(self, "u", RingMatrix.identity(RATIONAL, self.m))
+        elif self.rule == "T_INVERSE":
+            object.__setattr__(self, "u", RingMatrix.scalar(LAURENT, self.m, LaurentPoly.var()))
+        elif self.rule != "CONJUGATED_U":
+            raise RelationViolated(f"unknown label rule: {self.rule}")
+        elif self.u is None:
+            raise RelationViolated("CONJUGATED_U requires the element u")
 
     @property
     def ring(self):
-        return LAURENT if self.rule == "T_INVERSE" else RATIONAL
+        return self.u.ring
 
-    def _source(self, s: int) -> RingMatrix:
-        """a_s as given or sampled, before conversion to the rule's ring."""
-        source = self._cache.get(("a", s))
-        if source is None:
-            if self.matrices is not None:
-                if not 1 <= s <= len(self.matrices):
-                    raise DimensionMismatch(f"no matrix a_{s} in the explicit list")
-                source = self.matrices[s - 1]
-            elif self.constant is not None:
-                source = self.constant
+    def _labels(self, s: int) -> tuple[RingMatrix, RingMatrix, RingMatrix, RingMatrix]:
+        """(a_s, b_s, b_s^-1, a_s^-1), built in index order up to s."""
+        if s < 1 or self.matrices is not None and s > len(self.matrices):
+            raise DimensionMismatch(f"the scheme has no label a_{s}")
+        labels = self._cache.setdefault("labels", [])
+        for r in range(len(labels) + 1, s + 1):
+            if labels:
+                a, b, b_inv, a_inv = labels[-1]
+                c, c_inv = a * b, b_inv * a_inv
             else:
-                rng = random.Random(self.seed * 1_000_003 + s)
-                source = random_invertible_matrix(self.m, rng)
-            self._cache[("a", s)] = source
-        return source
+                c, c_inv = self.u, mat_inverse(self.u)
+            if self.matrices is not None:
+                a = self.matrices[r - 1]
+            elif self.constant is not None:
+                a = self.constant
+            else:
+                rng = random.Random(self.seed * 1_000_003 + r)
+                a = random_invertible_matrix(self.m, rng)
+            a = a.to_ring(self.ring)
+            a_inv = mat_inverse(a)
+            labels.append((a, c * a_inv, a * c_inv, a_inv))
+        return labels[s - 1]
 
     def a(self, s: int) -> RingMatrix:
-        return self._source(s).to_ring(self.ring)
+        return self._labels(s)[0]
 
     def b(self, s: int) -> RingMatrix:
-        stored = self._cache.get(("b", s))
-        if stored is None:
-            if self.rule == "T_INVERSE":
-                stored = mat_inverse(self._source(s))
-            elif self.rule == "INVERSE":
-                stored = self._a_inverse(s)
-            else:
-                prefix = RingMatrix.identity(self.ring, self.m)
-                for r in range(s - 1, 0, -1):
-                    prefix = prefix * self.a(r)
-                u = self.u.to_ring(self.ring)
-                stored = prefix * u * mat_inverse(prefix) * self._a_inverse(s)
-            self._cache[("b", s)] = stored
-        if self.rule == "T_INVERSE":
-            return stored.to_ring(LAURENT).scale(LaurentPoly.var())
-        return stored
-
-    def _a_inverse(self, s: int) -> RingMatrix:
-        inv = self._cache.get(("a^-1", s))
-        if inv is None:
-            inv = self._cache[("a^-1", s)] = mat_inverse(self.a(s))
-        return inv
+        return self._labels(s)[1]
 
     def inverse_labels(self, s: int) -> tuple[RingMatrix, RingMatrix]:
-        """(b_s^-1, a_s^-1), the labels of t_s^-1, inverted once per index."""
-        b_inv = self._cache.get(("b^-1", s))
-        if b_inv is None:
-            b_inv = self._cache[("b^-1", s)] = mat_inverse(self.b(s))
-        return b_inv, self._a_inverse(s)
+        """(b_s^-1, a_s^-1), the labels of t_s^-1."""
+        return self._labels(s)[2:]
 
     def verify_compatibility(self, max_index: int):
         """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used."""
@@ -162,8 +147,7 @@ def gbraid_from_braid(w: BraidWord, scheme: LabelScheme) -> GBraid:
     """The image of a braid word under t_i -> (swap(i, i+1); a_i, b_i),
     t_i^-1 -> (swap(i, i+1); b_i^-1, a_i^-1)."""
     n = w.strands
-    if n >= 3:
-        scheme.verify_compatibility(n - 1)
+    scheme.verify_compatibility(n - 1)
 
     def labels_of(letter):
         if letter > 0:
@@ -215,54 +199,51 @@ def charpoly_family_invariant(
     return out
 
 
-# -- group trace invariant --------------------------------------------------
+# -- normalized trace invariants --------------------------------------------
 
 
-def group_trace_invariant(w: BraidWord, scheme: LabelScheme) -> Fraction:
+def markov_normalization(ring, lam1, lam2, w: BraidWord):
+    """Turaev's factor (V * lam1)^-(n-1) * V^exp that normalizes a trace of w.
+
+    lam1 and lam2 are the trace scalars of a generator and of its inverse,
+    and V = ring.sqrt(lam2 / lam1); NoExactRoot is raised when that quotient
+    has no exact square root in the ring, before any trace is computed.
+    """
+    v = ring.sqrt(lam2 * ring.unit_inverse(lam1))
+    return ring.unit_inverse(v * lam1) ** (w.strands - 1) * v ** exponent_sum(w)
+
+
+def group_trace_invariant(w: BraidWord, scheme: LabelScheme):
     """The normalized product of component-product traces.
 
-    Requires the CONJUGATED_U rule.  tr(u x) = lam1 tr(x) for all x holds
-    exactly when u = lam1 I (take x = E_ij), and then lam2 = 1 / lam1 for
-    u^-1.  V is the principal (nonnegative) exact square root of
-    lam2 / lam1, and the result is
-    (V * lam1)^-(n-1) * V^exp * prod of component traces.
+    Requires the CONJUGATED_U rule.  tr(u x) = lam tr(x) for all x holds
+    exactly when u = lam I (take x = E_ij); then every label pair has
+    b_s a_s = lam I, the trace scalars are lam and 1 / lam, and
+    markov_normalization gives the factor on the product of component
+    traces.
     """
     if scheme.rule != "CONJUGATED_U":
         raise RelationViolated("group_trace_invariant needs the CONJUGATED_U rule")
-    u = scheme.u.to_ring(RATIONAL)
-    lam1 = u[0, 0]
-    if u != RingMatrix.scalar(RATIONAL, u.rows, lam1):
+    u, ring = scheme.u, scheme.ring
+    lam = u[0, 0]
+    if u != RingMatrix.scalar(ring, u.rows, lam):
         raise TraceConditionFailed("tr(u x) = lam tr(x) needs u = lam I")
-    if not lam1:
+    if not lam:
         raise TraceConditionFailed("trace scalars must be nonzero")
-    lam2 = 1 / lam1
-    v = fraction_sqrt(lam2 / lam1)
-    g = gbraid_from_braid(w, scheme)
-    exp = exponent_sum(w)
-    n = w.strands
-    k_n = (v * lam1) ** (-(n - 1))
-    value = k_n * v**exp
-    for p in component_products(g):
+    value = markov_normalization(ring, lam, ring.unit_inverse(lam), w)
+    for p in component_products(gbraid_from_braid(w, scheme)):
         value = value * p.trace()
     return value
-
-
-# -- tensor trace invariant -------------------------------------------------
 
 
 def tensor_trace_invariant(T: BraidTensor, w: BraidWord, method: str = "auto"):
     """The normalized trace of the braid's tensor representation.
 
-    With partial-trace scalars (a1, a2) and V = T.ring.sqrt(a2 / a1), the
-    value is (V * a1)^-(n-1) * V^exp * trace (Turaev's enhanced Yang-Baxter
-    normalization), one formula over both rings.  NoExactRoot is raised
-    when a2 / a1 has no exact square root in the ring.
+    The partial-trace scalars (a1, a2) of T play the role of lam1 and lam2
+    in markov_normalization, one formula over both rings.
     """
     a1, a2 = partial_trace_scalars(T)
-    ring = T.ring
-    v = ring.sqrt(a2 * ring.unit_inverse(a1))
-    prefactor = ring.unit_inverse(v * a1) ** (w.strands - 1) * v ** exponent_sum(w)
-    return prefactor * tensor_rep_trace(T, w, method)
+    return markov_normalization(T.ring, a1, a2, w) * tensor_rep_trace(T, w, method)
 
 
 # -- bracket invariant ------------------------------------------------------

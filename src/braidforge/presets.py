@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .blockreps import BlockRep, series_constructor
-from .errors import ParseError
+from .errors import InvalidSpec, ParseError
 from .invariants import (
     SIMPLICITY_MAX_LEN,
     LabelScheme,
@@ -87,6 +87,8 @@ def _power(t) -> int:
 
 def invariant_function(invariant: str, m: int, t, seed: int):
     """A callable BraidWord -> value for the named invariant pipeline."""
+    if m < 1:
+        raise InvalidSpec(f"m must be at least 1, got {m}")
     if invariant == "tensor-trace":
         tensor = standard_tensor(m, seed)
         return lambda w: tensor_trace_invariant(tensor, w)

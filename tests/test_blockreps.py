@@ -25,7 +25,7 @@ from braidforge.blockreps import (
     type_I_pair,
     type_II_pair,
 )
-from braidforge.braids import BraidWord, parse_braid_word
+from braidforge.braids import BraidWord, parse_braid_word, random_markov_perturbation
 from braidforge.errors import (
     DimensionMismatch,
     InvalidPolynomial,
@@ -36,6 +36,7 @@ from braidforge.errors import (
 )
 from braidforge.matrix import (
     RingMatrix,
+    char_poly,
     mat_det,
     random_invertible_matrix,
     random_rational_matrix,
@@ -232,6 +233,25 @@ class TestSeriesConstructors:
         rep = series_constructor("I", RingMatrix.identity(RATIONAL, 1))
         assert rep.operator() == RingMatrix(RATIONAL, [[0, 1], [1, 0]])
 
+    def test_square_zero_series(self):
+        rng = random.Random(4)
+        A, B, C = (random_rational_matrix(2, rng) for _ in range(3))
+        assert series_constructor("square_zero", (A, B, C)) == square_zero_rep(A, B, C)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            RingMatrix.identity(RATIONAL, 2),
+            (RingMatrix.identity(RATIONAL, 2),) * 2,
+            (RingMatrix.identity(RATIONAL, 2),) * 2 + (RingMatrix.zeros(RATIONAL, 2, 3),),
+            (1, 2, 3),
+        ],
+        ids=["one-matrix", "two-matrices", "non-square", "not-matrices"],
+    )
+    def test_square_zero_needs_three_square_matrices(self, params):
+        with pytest.raises(InvalidSpec):
+            series_constructor("SQUARE_ZERO", params)
+
     def test_singular_b_rejected(self):
         with pytest.raises(SingularInput):
             series_constructor("I", RingMatrix.zeros(RATIONAL, 2))
@@ -241,6 +261,40 @@ class TestSeriesConstructors:
         op = rep.operator()
         inv = rep.inverse_operator()
         assert op * inv == RingMatrix.identity(RATIONAL, 4)
+
+
+def alexander_from_burau(w: BraidWord) -> LaurentPoly:
+    """Delta(T) of w's closure from the unreduced Burau matrix rho.
+
+    With c_k the coefficients of char_poly(rho), sum k c_k = det(I - rho-bar)
+    = (1 + T + ... + T^(n-1)) Delta(T) up to a unit +-T^j; Delta is returned
+    with lowest exponent 0 and a positive leading coefficient.
+    """
+    coeffs = char_poly(rep_from_word(burau_rep(), w))
+    total = sum((k * c for k, c in enumerate(coeffs)), LaurentPoly())
+    delta = total.exact_div(sum((q**j for j in range(w.strands)), LaurentPoly()))
+    delta = delta * q ** -delta.min_exp()
+    return delta if delta.coeff(delta.max_exp()) > 0 else -delta
+
+
+class TestAlexanderFromBurau:
+    # Values that depend on the link itself, not only on its component count.
+    @pytest.mark.parametrize(
+        "strands, text, expected",
+        [
+            (1, "", LaurentPoly.const(1)),
+            (2, "1 1", q - 1),
+            (2, "1 1 1", q**2 - q + 1),
+            (3, "1 -2 1 -2", q**2 - 3 * q + 1),
+            (2, "1 1 1 1 1", q**4 - q**3 + q**2 - q + 1),
+        ],
+        ids=["unknot", "hopf", "trefoil", "figure-eight", "torus-2-5"],
+    )
+    def test_known_links_and_markov_perturbations(self, strands, text, expected):
+        w = parse_braid_word(text, strands)
+        assert alexander_from_burau(w) == expected
+        for seed in range(20):
+            assert alexander_from_burau(random_markov_perturbation(w, 4, seed)) == expected
 
 
 class TestSquareZero:

@@ -54,6 +54,15 @@ class TestVerifyRelations:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("series", ["SQUARE_ZERO", "square_zero"])
+    def test_square_zero_without_matrices_is_config_error(self, series, capsys):
+        code, out, err = run_cli(
+            ["verify", "--mode", "relations", "--series", series], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: SQUARE_ZERO requires three square matrices (A, B, C)\n"
+
 
 class TestVerifyBraidEquation:
     def test_standard_tensor(self, capsys):

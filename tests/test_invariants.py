@@ -15,6 +15,7 @@ from braidforge.braids import (
     random_braid_word,
 )
 from braidforge.errors import (
+    InvalidSpec,
     RelationViolated,
     SimplicityUnverified,
     TraceConditionFailed,
@@ -170,8 +171,9 @@ class TestLabelSchemes:
 
     def test_t_inverse_b_value(self):
         scheme = t_inverse_scheme(2, 8)
-        a = scheme.a(1)
-        assert scheme.b(1) == (a**-1).scale(T)
+        for s in range(1, 6):
+            a = scheme.a(s)
+            assert scheme.b(s) == (a**-1).scale(T)
 
     def test_scheme_equals_fresh_twin_after_use(self):
         w = BraidWord(5, (1, -2, 3, -4, 2))
@@ -224,6 +226,42 @@ class TestLabelSchemes:
                 assert b_inv * scheme.b(s) == scheme.a(s) * a_inv == RingMatrix.identity(
                     scheme.ring, 2
                 )
+
+
+def closed_form_b(scheme: LabelScheme, u: RingMatrix, s: int) -> RingMatrix:
+    """b_s = P u P^-1 a_s^-1 with P = a_{s-1} ... a_1, built afresh."""
+    prefix = RingMatrix.identity(scheme.ring, scheme.m)
+    for r in range(s - 1, 0, -1):
+        prefix = prefix * scheme.a(r)
+    return prefix * u * mat_inverse(prefix) * mat_inverse(scheme.a(s))
+
+
+class TestLabelRecurrenceOracle:
+    # The u each rule stands for, written out here rather than read back.
+    RULE_U = {
+        "INVERSE": lambda seed: RingMatrix.identity(RATIONAL, 2),
+        "T_INVERSE": lambda seed: RingMatrix.scalar(LAURENT, 2, T),
+        "CONJUGATED_U": lambda seed: random_invertible_matrix(2, random.Random(seed)),
+        "CONJUGATED_U scalar": lambda seed: RingMatrix.scalar(RATIONAL, 2, Fraction(3)),
+    }
+    MAKE = dict(SCHEMES, **{"CONJUGATED_U scalar": lambda seed: conjugated_u_scheme(2, seed)})
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(RULE_U)),
+        st.integers(0, 1 << 16),
+        st.permutations(range(1, 8)),
+    )
+    def test_labels_equal_closed_form(self, rule, seed, order):
+        # Indices are asked for in any order; the recurrence fills them in
+        # index order either way.
+        scheme, u = self.MAKE[rule](seed), self.RULE_U[rule](seed)
+        ident = RingMatrix.identity(scheme.ring, 2)
+        for s in order:
+            a, b = scheme.a(s), scheme.b(s)
+            b_inv, a_inv = scheme.inverse_labels(s)
+            assert b == closed_form_b(scheme, u, s)
+            assert b * b_inv == a * a_inv == ident
 
 
 class TestFoldOracle:
@@ -502,6 +540,13 @@ class TestSimplicityAndBracket:
         assert BracketResidue(Fraction(1), Fraction(2)) != BracketResidue(
             Fraction(1), Fraction(4)
         )
+
+
+@pytest.mark.parametrize("invariant", presets.INVARIANT_IDS)
+@pytest.mark.parametrize("m", [0, -1])
+def test_nonpositive_m_is_invalid_spec(invariant, m):
+    with pytest.raises(InvalidSpec, match="m must be at least 1"):
+        invariant_function(invariant, m, 1, 3)
 
 
 class TestSuiteHarness:
