@@ -146,6 +146,16 @@ def cmd_verify(args) -> int:
     report = markov_invariance_suite(fn, word, args.trials, seed)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} markov {args.invariant} trials={report.trials}")
+    base = value_to_jsonable(report.base_value)
+    for mismatch in report.mismatches:
+        record = {
+            "trial": mismatch.trial,
+            "trial_seed": mismatch.trial_seed,
+            "word": mismatch.word.to_jsonable(),
+            "value": value_to_jsonable(mismatch.value),
+            "base_value": base,
+        }
+        print(f"mismatch {json.dumps(record, sort_keys=True)}", file=sys.stderr)
     return 0 if report.passed else 1
 
 

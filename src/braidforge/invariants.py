@@ -5,15 +5,26 @@ strand data (a G-braid, a tensor representation, or a block representation),
 extract conjugation-invariant quantities per closure component, and normalize
 so the result is unchanged by stabilization.  Invariance is always checked by
 exact equality (or exact congruence, for the bracket) under random Markov
-moves; see markov_invariance_suite.
+moves; see markov_invariance_suite, whose report keeps the trial seed,
+perturbed word and value of every failing trial.
+
+G-braid labels are integer forms s*T^e*N (matrix.IntegerMatrixForm) when
+the scheme's u and given matrices have them, as every preset's do.  The
+three G-braid pipelines then fold the integer matrices per strand and per
+closure component, take powers, characteristic polynomials and traces of
+the integer products, and apply each product's s*T^e once at the end, so no
+Fraction or Laurent matrix is multiplied per evaluation.  A scheme with a
+matrix that has no form takes the same steps on matrices in its own ring.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .blockreps import BlockRep, rep_from_word
 from .braids import (
@@ -32,8 +43,16 @@ from .errors import (
     SimplicityUnverified,
     TraceConditionFailed,
 )
-from .matrix import RingMatrix, char_poly, mat_inverse, random_invertible_matrix
-from .rings import LAURENT, RATIONAL, LaurentPoly
+from .matrix import (
+    IntegerMatrixForm,
+    RingMatrix,
+    char_poly,
+    integer_form,
+    integer_form_inverse,
+    mat_inverse,
+    random_invertible_matrix,
+)
+from .rings import INTEGER, LAURENT, RATIONAL, LaurentPoly
 from .tensors import BraidTensor, partial_trace_scalars, tensor_rep_trace
 
 # -- G-braids ---------------------------------------------------------------
@@ -50,6 +69,12 @@ class GBraid:
     strands: int
     perm: Permutation
     labels: tuple[RingMatrix, ...]
+    # The integer forms the labels were materialized from, kept for
+    # component_products.  Only gbraid_from_braid sets it, so it always
+    # describes the stored labels.
+    forms: tuple[IntegerMatrixForm, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.perm.size != self.strands or len(self.labels) != self.strands:
@@ -66,11 +91,20 @@ class LabelScheme:
     ring for T_INVERSE (b_s = T a_s^-1), and the given u for CONJUGATED_U.
     The scheme's ring is u's ring.
 
+    Labels are integer forms s T^e N (matrix.IntegerMatrixForm) when u and
+    every given a_s have one, as in every preset: a_s from integer_form,
+    a_s^-1 from integer_form_inverse, and a scalar u = c T^e I written down
+    with u^-1 = c^-1 T^-e I.  Every other label is a product of these, so
+    nothing is inverted or multiplied in the Laurent ring.  A scheme with a
+    matrix that has no form (a Laurent entry of mixed degree, say) keeps
+    every label as a matrix in its ring: the ring path.  a, b and
+    inverse_labels return matrices in the ring on both paths.
+
     A scheme is immutable, so _cache (outside equality and hash) keeps the
-    pairs verified and, per index a word uses, (a_s, b_s, b_s^-1, a_s^-1) in
-    the scheme's ring.  With c_1 = u and c_s = a_{s-1} b_{s-1}, they are
-    b_s = c_s a_s^-1 and b_s^-1 = a_s c_s^-1, c_s^-1 = b_{s-1}^-1 a_{s-1}^-1,
-    so only a_s, and u once, are ever inverted.
+    pairs verified and, per index a word uses, (a_s, b_s, b_s^-1, a_s^-1).
+    With c_1 = u and c_s = a_{s-1} b_{s-1}, they are b_s = c_s a_s^-1 and
+    b_s^-1 = a_s c_s^-1, c_s^-1 = b_{s-1}^-1 a_{s-1}^-1, so only a_s, and a
+    u that is not scalar once, are ever inverted.
     """
 
     rule: str
@@ -79,8 +113,9 @@ class LabelScheme:
     constant: RingMatrix | None = None
     seed: int | None = None
     u: RingMatrix | None = None
-    # "labels" -> the tuples for s = 1, 2, ...; "verified" -> k such that
-    # every pair below k passed.
+    # "start" -> (u, u^-1, the identity label), as forms or as matrices,
+    # which fixes the path; "labels" -> the tuples for s = 1, 2, ...;
+    # "verified" -> k such that every pair below k passed.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,38 +134,93 @@ class LabelScheme:
     def ring(self):
         return self.u.ring
 
-    def _labels(self, s: int) -> tuple[RingMatrix, RingMatrix, RingMatrix, RingMatrix]:
-        """(a_s, b_s, b_s^-1, a_s^-1), built in index order up to s."""
+    def _start(self) -> tuple:
+        """(u, u^-1, identity): forms when u and every given a_s have one,
+        else matrices in the ring.  The first call decides the path."""
+        start = self._cache.get("start")
+        if start is None:
+            given = self.matrices if self.matrices is not None else (self.constant,)
+            forms = None
+            if all(a is None or integer_form(a) is not None for a in given):
+                forms = self._u_forms()
+            if forms is None:
+                ident = RingMatrix.identity(self.ring, self.m)
+                start = (self.u, mat_inverse(self.u), ident)
+            else:
+                one = IntegerMatrixForm(Fraction(1), 0, RingMatrix.identity(INTEGER, self.m))
+                start = (*forms, one)
+            self._cache["start"] = start
+        return start
+
+    @property
+    def _forms(self) -> bool:
+        """Whether the labels are integer forms; the first use decides."""
+        return isinstance(self._start()[2], IntegerMatrixForm)
+
+    def _u_forms(self) -> tuple[IntegerMatrixForm, IntegerMatrixForm] | None:
+        """The forms of u and u^-1, or None when u has none.  A scalar
+        u = c T^e I needs no inversion: u^-1 = c^-1 T^-e I."""
+        u, ring = self.u, self.ring
+        lam = u[0, 0] if u.rows else ring.one
+        if lam and u == RingMatrix.scalar(ring, u.rows, lam):
+            part = ring.split_monomial(lam)
+            if part is not None:
+                c, e = part
+                ident = RingMatrix.identity(INTEGER, u.rows)
+                return IntegerMatrixForm(c, e, ident), IntegerMatrixForm(1 / c, -e, ident)
+        f = integer_form(u)
+        return None if f is None else (f, integer_form_inverse(f, ring))
+
+    def _source(self, r: int) -> RingMatrix:
+        """a_r as given or drawn, in its own ring."""
+        if self.matrices is not None:
+            return self.matrices[r - 1]
+        if self.constant is not None:
+            return self.constant
+        return random_invertible_matrix(self.m, random.Random(self.seed * 1_000_003 + r))
+
+    def _labels(self, s: int) -> tuple:
+        """(a_s, b_s, b_s^-1, a_s^-1), built in index order up to s: forms,
+        or matrices in the ring on the ring path."""
         if s < 1 or self.matrices is not None and s > len(self.matrices):
             raise DimensionMismatch(f"the scheme has no label a_{s}")
+        start, ring = self._start(), self.ring
         labels = self._cache.setdefault("labels", [])
         for r in range(len(labels) + 1, s + 1):
             if labels:
                 a, b, b_inv, a_inv = labels[-1]
                 c, c_inv = a * b, b_inv * a_inv
             else:
-                c, c_inv = self.u, mat_inverse(self.u)
-            if self.matrices is not None:
-                a = self.matrices[r - 1]
-            elif self.constant is not None:
-                a = self.constant
+                c, c_inv, _ = start
+            a = self._source(r)
+            if self._forms:
+                a = integer_form(a)
+                # a_s must lie in the ring, as a.to_ring(ring) checks on the
+                # ring path: this raises if its unit s T^e does not.
+                ring.monomial(a.scale, a.exp)
+                a_inv = integer_form_inverse(a, ring)
+                b, b_inv = (c * a_inv).primitive(), (a * c_inv).primitive()
             else:
-                rng = random.Random(self.seed * 1_000_003 + r)
-                a = random_invertible_matrix(self.m, rng)
-            a = a.to_ring(self.ring)
-            a_inv = mat_inverse(a)
-            labels.append((a, c * a_inv, a * c_inv, a_inv))
+                a = a.to_ring(ring)
+                a_inv = mat_inverse(a)
+                b, b_inv = c * a_inv, a * c_inv
+            labels.append((a, b, b_inv, a_inv))
         return labels[s - 1]
 
+    def _in_ring(self, label) -> RingMatrix:
+        """A label or a product of labels as a matrix in the scheme's ring."""
+        return label.to_matrix(self.ring) if self._forms else label
+
     def a(self, s: int) -> RingMatrix:
-        return self._labels(s)[0]
+        return self._in_ring(self._labels(s)[0])
 
     def b(self, s: int) -> RingMatrix:
-        return self._labels(s)[1]
+        return self._in_ring(self._labels(s)[1])
 
     def inverse_labels(self, s: int) -> tuple[RingMatrix, RingMatrix]:
         """(b_s^-1, a_s^-1), the labels of t_s^-1."""
-        return self._labels(s)[2:]
+        labels = self._labels(s)
+        return self._in_ring(labels[2]), self._in_ring(labels[3])
 
     def verify_compatibility(self, max_index: int):
         """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used."""
@@ -142,30 +232,63 @@ class LabelScheme:
                 )
         self._cache["verified"] = max(verified, max_index)
 
+    def _fold(self, w: BraidWord) -> list:
+        """Per strand of w (by top position - 1), the product of its labels
+        under t_i -> (a_i, b_i), t_i^-1 -> (b_i^-1, a_i^-1): forms, or
+        matrices on the ring path."""
+        self.verify_compatibility(w.strands - 1)
+
+        def labels_of(letter):
+            a, b, b_inv, a_inv = self._labels(abs(letter))
+            return (a, b) if letter > 0 else (b_inv, a_inv)
+
+        return fold_labels(w, self._start()[2], labels_of)
+
 
 def gbraid_from_braid(w: BraidWord, scheme: LabelScheme) -> GBraid:
     """The image of a braid word under t_i -> (swap(i, i+1); a_i, b_i),
     t_i^-1 -> (swap(i, i+1); b_i^-1, a_i^-1)."""
-    n = w.strands
-    scheme.verify_compatibility(n - 1)
-
-    def labels_of(letter):
-        if letter > 0:
-            return scheme.a(letter), scheme.b(letter)
-        return scheme.inverse_labels(-letter)
-
-    identity = RingMatrix.identity(scheme.ring, scheme.m)
-    labels = fold_labels(w, identity, labels_of)
-    return GBraid(n, underlying_permutation(w), tuple(labels))
+    labels = scheme._fold(w)
+    g = GBraid(
+        w.strands, underlying_permutation(w), tuple(scheme._in_ring(x) for x in labels)
+    )
+    if scheme._forms:
+        object.__setattr__(g, "forms", tuple(labels))
+    return g
 
 
 def component_products(g: GBraid) -> list[RingMatrix]:
     """One label product per closure component, following each cycle from its
     minimal position; defined up to conjugacy."""
-    return cycle_products(g.perm, g.labels)
+    if g.forms is None:
+        return cycle_products(g.perm, g.labels)
+    ring = g.labels[0].ring
+    return [f.to_matrix(ring) for f in cycle_products(g.perm, g.forms)]
+
+
+def _component_products(w: BraidWord, scheme: LabelScheme) -> list:
+    """component_products of w's G-braid, as forms (or matrices on the ring
+    path) and without materializing any label."""
+    return cycle_products(underlying_permutation(w), scheme._fold(w))
 
 
 # -- characteristic polynomial invariants -----------------------------------
+
+
+def _char_poly_terms(f: IntegerMatrixForm, t: int, ring) -> list[tuple[Fraction, int]]:
+    """(c, e) per coefficient c T^e of det(X I - p^t), ascending from X^0,
+    for the matrix p with form f.
+
+    p^t = s T^e N is a form too (t < 0 through integer_form_inverse), and
+    its X^l coefficient is N's integer one times (s T^e)^(m - l).
+    Faddeev-LeVerrier divides exactly over the integers: every coefficient
+    of an integer matrix's characteristic polynomial is an integer.
+    """
+    if t < 0:
+        f, t = integer_form_inverse(f, ring), -t
+    scale, exp, m = f.scale**t, f.exp * t, f.matrix.rows
+    coeffs = char_poly(f.matrix**t)
+    return [(c * scale ** (m - l), exp * (m - l)) for l, c in enumerate(coeffs)]
 
 
 def charpoly_class_invariant(
@@ -173,8 +296,15 @@ def charpoly_class_invariant(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Sorted multiset of characteristic polynomials of the t-th powers of
     the component products."""
-    g = gbraid_from_braid(w, scheme)
-    polys = [tuple(char_poly(p**t)) for p in component_products(g)]
+    ring = scheme.ring
+    products = _component_products(w, scheme)
+    if scheme._forms:
+        polys = [
+            tuple(ring.monomial(c, e) for c, e in _char_poly_terms(f, t, ring))
+            for f in products
+        ]
+    else:
+        polys = [tuple(char_poly(p**t)) for p in products]
     return tuple(sorted(polys))
 
 
@@ -183,13 +313,26 @@ def charpoly_family_invariant(
 ) -> list[LaurentPoly]:
     """The list P_0..P_{m-1}: for each coefficient slot l, the product over
     components of the X^l coefficient of the characteristic polynomial of the
-    t-th power of the component product, scaled by T^(t(l-m)*exp)."""
+    t-th power of the component product, scaled by T^(t(l-m)*exp).
+
+    With forms every factor is a monomial c T^e, so each P_l is one: the
+    product of the c's at T to the sum of the e's.
+    """
     if scheme.rule != "T_INVERSE":
         raise RelationViolated("charpoly_family_invariant needs the T_INVERSE rule")
-    g = gbraid_from_braid(w, scheme)
-    m = scheme.m
+    ring, m = scheme.ring, scheme.m
     exp = exponent_sum(w)
-    coeff_lists = [char_poly(p**t) for p in component_products(g)]
+    products = _component_products(w, scheme)
+    if scheme._forms:
+        terms = [_char_poly_terms(f, t, ring) for f in products]
+        return [
+            ring.monomial(
+                math.prod(ts[l][0] for ts in terms),
+                sum(ts[l][1] for ts in terms) + t * (l - m) * exp,
+            )
+            for l in range(m)
+        ]
+    coeff_lists = [char_poly(p**t) for p in products]
     out = []
     for l in range(m):
         value = LaurentPoly.monomial(1, t * (l - m) * exp)
@@ -231,7 +374,11 @@ def group_trace_invariant(w: BraidWord, scheme: LabelScheme):
     if not lam:
         raise TraceConditionFailed("trace scalars must be nonzero")
     value = markov_normalization(ring, lam, ring.unit_inverse(lam), w)
-    for p in component_products(gbraid_from_braid(w, scheme)):
+    products = _component_products(w, scheme)
+    if scheme._forms:
+        trace = math.prod(f.scale * f.matrix.trace() for f in products)
+        return value * ring.monomial(trace, sum(f.exp for f in products))
+    for p in products:
         value = value * p.trace()
     return value
 
@@ -417,6 +564,16 @@ def bracket_invariant(
 # -- Markov invariance harness ----------------------------------------------
 
 
+class MarkovMismatch(NamedTuple):
+    """A failing trial: its word is random_markov_perturbation(w, steps,
+    trial_seed) for the suite's base word w and steps."""
+
+    trial: int
+    trial_seed: int
+    word: BraidWord
+    value: object
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     """Result of comparing an invariant across random Markov perturbations."""
@@ -424,7 +581,7 @@ class SuiteReport:
     passed: bool
     trials: int
     base_value: object
-    mismatches: tuple[tuple[int, object], ...] = ()
+    mismatches: tuple[MarkovMismatch, ...] = ()
 
 
 def markov_invariance_suite(
@@ -443,7 +600,7 @@ def markov_invariance_suite(
         perturbed = random_markov_perturbation(w, steps, trial_seed)
         value = invariant_fn(perturbed)
         if value != base:
-            mismatches.append((trial, value))
+            mismatches.append(MarkovMismatch(trial, trial_seed, perturbed, value))
     return SuiteReport(not mismatches, trials, base, tuple(mismatches))
 
 

@@ -291,13 +291,32 @@ def mat_inverse(a: RingMatrix) -> RingMatrix:
 class IntegerMatrixForm(NamedTuple):
     """A matrix as scale * T^exp * matrix, with matrix over INTEGER.
 
-    The integer matrix is primitive (its entries have gcd 1) unless it is
-    zero; the zero matrix is 1 * T^0 * 0.
+    integer_form and integer_form_inverse give a primitive integer matrix
+    (its entries have gcd 1) unless it is zero; the zero matrix is
+    1 * T^0 * 0.  A product of forms multiplies the scales, adds the
+    exponents and multiplies the integer matrices, which then need not be
+    primitive; primitive() makes them so again.
     """
 
     scale: Fraction
     exp: int
     matrix: RingMatrix
+
+    def __mul__(self, other: "IntegerMatrixForm") -> "IntegerMatrixForm":
+        return IntegerMatrixForm(
+            self.scale * other.scale, self.exp + other.exp, self.matrix * other.matrix
+        )
+
+    def primitive(self) -> "IntegerMatrixForm":
+        return _primitive(self.scale, self.exp, self.matrix.entries)
+
+    def to_matrix(self, ring) -> RingMatrix:
+        """The matrix scale * T^exp * matrix over ring."""
+        scale, exp = self.scale, self.exp
+        rows = self.matrix.entries
+        return RingMatrix._of(
+            ring, tuple(tuple(ring.monomial(scale * x, exp) for x in row) for row in rows)
+        )
 
 
 def integer_form(a: RingMatrix) -> IntegerMatrixForm | None:

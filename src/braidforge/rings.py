@@ -15,8 +15,9 @@ sorts terms by ascending exponent and joins them with " + ", e.g.
 ``-1/2*T^-1 + 3*T^2``; a constant term is printed bare ("3"), and the zero
 polynomial is "0".  The ring descriptors RATIONAL and LAURENT decide all
 ring-dependent arithmetic (coercion, unit inverses, exact division, square
-roots, and splitting a monomial c*T^e into c and e), so code above this
-module needs no per-ring branches.
+roots, and splitting a monomial c*T^e into c and e or building it back,
+the zero element when c is 0), so code above this module needs no per-ring
+branches.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ class RationalRing:
         return x, 0
 
     def monomial(self, c: Fraction, e: int) -> Fraction:
-        if e:
+        if e and c:
             raise ValueError(f"T^{e} is not a rational")
         return c
 
@@ -384,7 +385,7 @@ class LaurentRing:
         return c, e
 
     def monomial(self, c: Fraction, e: int) -> LaurentPoly:
-        return LaurentPoly._of({e: c})
+        return LaurentPoly._of({e: c}) if c else self.zero
 
     def to_text(self, x: LaurentPoly) -> str:
         return x.text()
@@ -443,7 +444,7 @@ class IntegerRing:
         return Fraction(x), 0
 
     def monomial(self, c: Fraction, e: int) -> int:
-        if e:
+        if e and c:
             raise ValueError(f"T^{e} is not an integer")
         return self.coerce(c)
 

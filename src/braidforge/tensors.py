@@ -20,9 +20,10 @@ A tensor whose nonzero entries are all c*T^e for one shared e (every
 rational tensor, and every pair tensor the presets build) has an integer
 form s*T^e*N: a rational scale s, an exponent e and a tensor N over INTEGER
 (IntegerTensorForm, cached on the tensor when first asked for, together
-with the form of its inverse).  The pair check and all three trace routes
-then run on plain ints: the routes on N and on the inverse's integer
-tensor, with the scales and exponents applied once to the integer trace.
+with the form of its inverse).  The pair check, the partial-trace scalars,
+the inverse and all three trace routes then run on plain ints: the routes
+on N and on the inverse's integer tensor, with the scales and exponents
+applied once to the integer trace.
 Any other tensor (an entry such as 1 + T, or two entries of different
 degree) runs the same code in its own ring: the Laurent path.
 """
@@ -50,6 +51,7 @@ from .matrix import (
     mat_det,
     mat_inverse,
 )
+from .rings import INTEGER
 
 
 @dataclass(frozen=True)
@@ -209,12 +211,20 @@ def tensor_inverse(T: BraidTensor) -> BraidTensor:
 
     A pair tensor is (b kron a) times the swap S, so its inverse
     S (b^-1 kron a^-1) = (a^-1 kron b^-1) S is the pair tensor of
-    (b^-1, a^-1), and no m^2 x m^2 inversion is needed.
+    (b^-1, a^-1), and no m^2 x m^2 inversion is needed.  Any other tensor
+    with an integer form reads its inverse off the form's cached inverse;
+    only a tensor without one inverts its m^2 x m^2 matrix in its ring.
     """
     if T.pair is not None:
         a, b = T.pair
         return tensor_from_matrix_pair(mat_inverse(b), mat_inverse(a))
-    return matrix_to_tensor(mat_inverse(tensor_to_matrix(T)), T.m)
+    form = T.integer_form
+    if form is None:
+        return matrix_to_tensor(mat_inverse(tensor_to_matrix(T)), T.m)
+    inv, ring = form.inverse, T.ring
+    return BraidTensor.from_function(
+        T.m, ring, lambda *idx: ring.monomial(inv.scale * inv.tensor[idx], inv.exp)
+    )
 
 
 def check_braid_equation(
@@ -317,22 +327,32 @@ def partial_trace_scalars(T: BraidTensor):
     the same contraction of the inverse tensor.  Both matrices must be
     nonzero scalar multiples of the identity.  For a pair tensor (a, b),
     gamma = b a and the inverse's is (b a)^-1; lambda1 is a unit, as
-    lambda1^m = det b det a.
+    lambda1^m = det b det a.  Any other tensor with an integer form
+    s * T^e * N has gamma = s * T^e * gamma(N), and its inverse's form
+    gives lambda2 the same way, so neither is computed in the ring.
     """
     ring = T.ring
     if T.pair is not None:
         a, b = T.pair
         lam = _scalar_of((b * a).entries, ring)
         return lam, ring.unit_inverse(lam)
+    form = T.integer_form
+    if form is None:
+        return _scalar_of(_gamma(T), ring), _scalar_of(_gamma(tensor_inverse(T)), ring)
 
-    def gamma(tensor: BraidTensor):
-        m = tensor.m
-        return [
-            [sum((tensor[i1, j, i2, j] for j in range(m)), ring.zero) for i2 in range(m)]
-            for i1 in range(m)
-        ]
+    def scalar(f: IntegerTensorForm):
+        return ring.monomial(f.scale * _scalar_of(_gamma(f.tensor), INTEGER), f.exp)
 
-    return _scalar_of(gamma(T), ring), _scalar_of(gamma(tensor_inverse(T)), ring)
+    return scalar(form), scalar(form.inverse)
+
+
+def _gamma(T: BraidTensor) -> list[list]:
+    """The partial-trace matrix gamma^{i1}_{i2} = sum_j T[i1][j][i2][j]."""
+    m, zero = T.m, T.ring.zero
+    return [
+        [sum((T[i1, j, i2, j] for j in range(m)), zero) for i2 in range(m)]
+        for i1 in range(m)
+    ]
 
 
 def _scalar_of(gamma, ring):
@@ -442,7 +462,7 @@ def tensor_rep_trace(T: BraidTensor, w: BraidWord, method: str = "auto"):
         inv = form.inverse
         scale, exp, inverse = scale * inv.scale**negative, exp + inv.exp * negative, inv.tensor
     trace = route(form.tensor, inverse, w)
-    return T.ring.monomial(scale * trace, exp) if trace else T.ring.zero
+    return T.ring.monomial(scale * trace, exp)
 
 
 # Each route takes the tensor, its inverse (None when the word has no

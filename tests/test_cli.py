@@ -13,6 +13,8 @@ import sys
 import jsonschema
 import pytest
 
+from braidforge import cli
+from braidforge.braids import BraidWord, random_markov_perturbation
 from braidforge.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -91,6 +93,25 @@ class TestVerifyMarkov:
         )
         assert code == 0
         assert out.startswith("PASS markov tensor-trace")
+
+    def test_fail_prints_reproducible_mismatches(self, capsys, monkeypatch):
+        # A pipeline that reads the strand count, which stabilization moves.
+        monkeypatch.setattr(cli, "invariant_function", lambda *args: lambda w: w.strands)
+        argv = [
+            "verify", "--mode", "markov", "--type", "group-trace", "--strands", "3",
+            "--word", "1 -2 1 -2", "--trials", "6", "--seed", "7",
+        ]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == "FAIL markov group-trace trials=6\n"
+        records = [json.loads(line.removeprefix("mismatch ")) for line in err.splitlines()]
+        assert records and all(line.startswith("mismatch {") for line in err.splitlines())
+        base = BraidWord(3, (1, -2, 1, -2))
+        for record in records:
+            assert record["trial_seed"] == 7 * 7_919 + record["trial"]
+            word = random_markov_perturbation(base, 5, record["trial_seed"])
+            assert word.to_jsonable() == record["word"]
+            assert record["value"] == word.strands != record["base_value"] == 3
 
 
 class TestInvariantCommand:

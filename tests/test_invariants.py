@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from braidforge.braids import (
     BraidWord,
     Permutation,
+    exponent_sum,
     parse_braid_word,
     random_braid_word,
+    random_markov_perturbation,
 )
 from braidforge.errors import (
     InvalidSpec,
+    NonUnitDeterminant,
     RelationViolated,
     SimplicityUnverified,
     TraceConditionFailed,
@@ -34,12 +37,14 @@ from braidforge.invariants import (
     gbraid_from_braid,
     group_trace_invariant,
     markov_invariance_suite,
+    markov_normalization,
     simplicity_check,
     tensor_trace_invariant,
     value_to_jsonable,
 )
 from braidforge.matrix import (
     RingMatrix,
+    char_poly,
     mat_inverse,
     random_invertible_matrix,
     random_rational_matrix,
@@ -53,7 +58,7 @@ from braidforge.presets import (
     swap_block_rep,
     t_inverse_scheme,
 )
-from braidforge.rings import LAURENT, RATIONAL, LaurentPoly
+from braidforge.rings import INTEGER, LAURENT, RATIONAL, LaurentPoly
 from braidforge.tensors import (
     identity_tensor,
     partial_trace_scalars,
@@ -264,19 +269,190 @@ class TestLabelRecurrenceOracle:
             assert b * b_inv == a * a_inv == ident
 
 
+def mixed_degree_matrices(count: int, seed: int) -> tuple[RingMatrix, ...]:
+    """Invertible Laurent matrices [[c T^k, x], [0, 1]] with a constant
+    x != 0: entries of two degrees, so no integer form."""
+    rng = random.Random(seed)
+    return tuple(
+        RingMatrix(
+            LAURENT,
+            [[rng.choice((1, -2, 3)) * T ** rng.randint(1, 2), rng.randint(1, 3)], [0, 1]],
+        )
+        for _ in range(count)
+    )
+
+
+# (make(m, seed), the pipelines the scheme admits).  A non-scalar u gives
+# products that do not telescope to lam^k I; a mixed-degree matrix keeps
+# the scheme on the ring path.
+FOLD_SCHEMES = {
+    "INVERSE": (inverse_scheme, ("class",)),
+    "T_INVERSE": (t_inverse_scheme, ("family",)),
+    "CONJUGATED_U scalar": (conjugated_u_scheme, ("group", "class")),
+    "CONJUGATED_U scalar 1/2": (
+        lambda m, seed: conjugated_u_scheme(m, seed, Fraction(1, 2)), ("group", "class")
+    ),
+    "CONJUGATED_U Laurent scalar": (
+        lambda m, seed: LabelScheme(
+            "CONJUGATED_U", m, seed=seed, u=RingMatrix.scalar(LAURENT, m, 2 * T**-1)
+        ),
+        ("group",),
+    ),
+    "CONJUGATED_U non-scalar": (
+        lambda m, seed: LabelScheme(
+            "CONJUGATED_U", m, seed=seed, u=random_invertible_matrix(m, random.Random(seed))
+        ),
+        ("class",),
+    ),
+    "CONJUGATED_U non-scalar Laurent": (
+        lambda m, seed: LabelScheme(
+            "CONJUGATED_U",
+            m,
+            seed=seed,
+            u=random_invertible_matrix(m, random.Random(seed)).to_ring(LAURENT).scale(T),
+        ),
+        (),
+    ),
+    "T_INVERSE mixed degree": (
+        lambda m, seed: LabelScheme("T_INVERSE", 2, matrices=mixed_degree_matrices(6, seed)),
+        ("family",),
+    ),
+    "CONJUGATED_U mixed degree": (
+        lambda m, seed: LabelScheme(
+            "CONJUGATED_U",
+            2,
+            matrices=mixed_degree_matrices(6, seed),
+            u=RingMatrix.scalar(LAURENT, 2, 3 * T),
+        ),
+        ("group",),
+    ),
+}
+
+PIPELINES = {
+    "class": charpoly_class_invariant,
+    "family": charpoly_family_invariant,
+    "group": lambda w, scheme, t: group_trace_invariant(w, scheme),
+}
+
+
+def oracle_value(pipeline: str, products, w: BraidWord, scheme: LabelScheme, t: int):
+    """A pipeline's value from ring-matrix component products, as the
+    library computed it before labels were integer forms."""
+    if pipeline == "class":
+        return tuple(sorted(tuple(char_poly(p**t)) for p in products))
+    if pipeline == "family":
+        m, exp = scheme.m, exponent_sum(w)
+        coeff_lists = [char_poly(p**t) for p in products]
+        out = []
+        for l in range(m):
+            value = LaurentPoly.monomial(1, t * (l - m) * exp)
+            for coeffs in coeff_lists:
+                value = value * coeffs[l]
+            out.append(value)
+        return out
+    ring, lam = scheme.ring, scheme.u[0, 0]
+    value = markov_normalization(ring, lam, ring.unit_inverse(lam), w)
+    for p in products:
+        value = value * p.trace()
+    return value
+
+
+def value_types(value):
+    """The value's types, nested as the value is."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [value_types(v) for v in value]
+    return type(value)
+
+
 class TestFoldOracle:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=90, deadline=None)
     @given(
-        st.sampled_from(sorted(SCHEMES)),
+        st.sampled_from(sorted(FOLD_SCHEMES)),
+        st.integers(1, 3),
         st.integers(0, 1 << 16),
+        st.integers(-2, 3),
         st.lists(braid_words(), min_size=1, max_size=3),
     )
-    def test_fold_matches_letter_by_letter_product(self, rule, seed, words):
+    def test_fold_matches_letter_by_letter_product(self, name, m, seed, t, words):
         # One scheme serves every word, so later words read its cache; the
-        # oracle uses a fresh twin with an empty cache.
-        scheme = SCHEMES[rule](seed)
+        # oracle uses a fresh twin with an empty cache.  The values must
+        # match by ==, by repr and by type.
+        make, pipelines = FOLD_SCHEMES[name]
+        scheme = make(m, seed)
         for w in words:
-            assert gbraid_from_braid(w, scheme) == letter_by_letter(w, replace(scheme))
+            g = gbraid_from_braid(w, scheme)
+            oracle = letter_by_letter(w, replace(scheme))
+            assert g == oracle
+            products = component_products(oracle)
+            assert component_products(g) == products
+            for pipeline in pipelines:
+                value = PIPELINES[pipeline](w, scheme, t)
+                expected = oracle_value(pipeline, products, w, scheme, t)
+                assert value == expected
+                assert repr(value) == repr(expected)
+                assert value_types(value) == value_types(expected)
+
+    def test_paths(self):
+        # Every scheme with forms runs on them; a mixed-degree matrix keeps
+        # the ring path.  An empty one-strand word touches no label.
+        for name, (make, pipelines) in FOLD_SCHEMES.items():
+            scheme = make(2, 5)
+            for pipeline in pipelines:
+                value = PIPELINES[pipeline](BraidWord(1), scheme, 2)
+                products = component_products(letter_by_letter(BraidWord(1), scheme))
+                assert repr(value) == repr(oracle_value(pipeline, products, BraidWord(1), scheme, 2))
+            gbraid_from_braid(BraidWord(3, (1, -2)), scheme)
+            assert scheme._forms == ("mixed degree" not in name), name
+
+
+class TestLabelForms:
+    def test_t_inverse_labels_multiply_no_laurent_polynomial(self, monkeypatch):
+        # T_INVERSE labels are products of integer forms: building them and
+        # evaluating inverts nothing and multiplies no Laurent polynomial.
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
+        monkeypatch.setattr(invariants, "mat_inverse", lambda a: pytest.fail("inverted"))
+        scheme = t_inverse_scheme(3, 4)
+        for s in range(1, 6):
+            scheme._labels(s)
+        w = BraidWord(2, (1, -1, 1))
+        value = charpoly_family_invariant(w, scheme, -1)
+        assert calls == []
+        monkeypatch.undo()
+        assert scheme._forms
+        assert scheme.b(1) == mat_inverse(scheme.a(1)).scale(T)
+        products = component_products(letter_by_letter(w, replace(scheme)))
+        assert value == oracle_value("family", products, w, scheme, -1)
+
+    def test_scalar_u_written_down(self):
+        ident = RingMatrix.identity(INTEGER, 2)
+        u, u_inv, one = conjugated_u_scheme(2, 3, Fraction(3))._start()
+        assert u == (Fraction(3), 0, ident) and u_inv == (Fraction(1, 3), 0, ident)
+        assert one == (1, 0, ident)
+        u, u_inv, _ = t_inverse_scheme(2, 3)._start()
+        assert u == (1, 1, ident) and u_inv == (1, -1, ident)
+
+    def test_labels_stay_primitive(self):
+        # Each label keeps a primitive integer matrix, so its entries do not
+        # grow with the index (a_s has entries in [-4, 4]).
+        for make in (inverse_scheme, t_inverse_scheme, conjugated_u_scheme):
+            scheme = make(2, 11)
+            for s in range(1, 9):
+                for f in scheme._labels(s):
+                    assert max(abs(x) for row in f.matrix.entries for x in row) <= 4
+
+    def test_singular_u_raises(self):
+        u = RingMatrix(RATIONAL, [[1, 2], [2, 4]])
+        scheme = LabelScheme("CONJUGATED_U", 2, seed=1, u=u)
+        with pytest.raises(NonUnitDeterminant, match="determinant 0 is not a unit"):
+            scheme.a(1)
 
 
 class TestCharpolyClass:
@@ -560,6 +736,24 @@ class TestSuiteHarness:
         fn = invariant_function("tensor-trace", 2, 1, 31)
         report = markov_invariance_suite(fn, TREFOIL, trials=1, seed=1)
         assert report.base_value == fn(TREFOIL)
+
+    def test_mismatches_reproduce(self):
+        # A representation the default bracket certificate passes although
+        # its bracket is not Markov-invariant: series II with B = [2] at
+        # t = 1/2, with no verdict passed in.
+        rep = series_constructor("II", RingMatrix(RATIONAL, [[2]]))
+
+        def fn(w):
+            return bracket_invariant(rep, w, Fraction(1, 2))
+
+        report = markov_invariance_suite(fn, FIGURE_EIGHT, trials=10, seed=7)
+        assert not report.passed
+        assert len(report.mismatches) == 5
+        for mismatch in report.mismatches:
+            assert mismatch.trial_seed == 7 * 7_919 + mismatch.trial
+            word = random_markov_perturbation(FIGURE_EIGHT, 5, mismatch.trial_seed)
+            assert word == mismatch.word
+            assert fn(word) == mismatch.value != report.base_value
 
 
 class TestPermutationOnlyDependence:

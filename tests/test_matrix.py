@@ -363,6 +363,16 @@ class TestCharPoly:
         coeffs = char_poly(m)
         assert coeffs == [LaurentPoly.const(1), -(q + q**-1), LaurentPoly.const(1)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_integer_matrix_stays_in_integers(self, n):
+        # Faddeev-LeVerrier's divisions are exact over the integers.
+        rng = random.Random(n)
+        for _ in range(25):
+            a = random_rational_matrix(n, rng, -9, 9)
+            coeffs = char_poly(a.to_ring(INTEGER))
+            assert all(type(c) is int for c in coeffs)
+            assert coeffs == char_poly(a)
+
 
 class TestKron:
     def test_identities(self):
@@ -395,9 +405,10 @@ def test_jsonable_round_trip():
 
 
 @st.composite
-def monomial_matrices(draw, ring, max_n=4):
-    """s * T^e * M for a small integer M (singular ones included), over ring."""
-    n = draw(st.integers(0, max_n))
+def monomial_matrices(draw, ring, max_n=4, size=None):
+    """s * T^e * M for a small integer M (singular ones included), over ring;
+    M is size x size when a size is given."""
+    n = draw(st.integers(0, max_n)) if size is None else size
     entries = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
     scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
     exp = draw(st.integers(-3, 3)) if ring is LAURENT else 0
@@ -428,6 +439,17 @@ class TestIntegerForm:
             return
         scale, exp, n = integer_form_inverse(f, ring)
         assert n.to_ring(ring).scale(ring.monomial(scale, exp)) == mat_inverse(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([RATIONAL, LAURENT]), st.data())
+    def test_form_product_and_to_matrix(self, ring, data):
+        a = data.draw(monomial_matrices(ring))
+        b = data.draw(monomial_matrices(ring, size=a.rows))
+        fa, fb = integer_form(a), integer_form(b)
+        assert fa.to_matrix(ring) == a
+        product = fa * fb
+        assert product.to_matrix(ring) == a * b
+        assert product.primitive() == integer_form(a * b)
 
     def test_mixed_degrees_have_no_form(self):
         assert integer_form(burau_block()) is None

@@ -591,6 +591,38 @@ class TestIntegerPath:
             3, LAURENT, lambda *idx: unit * inv.tensor[idx]
         ) == tensor_inverse(t)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_pairless_twin_reads_inverse_from_form(self, m, monkeypatch):
+        # The twin keeps the entries of standard_tensor but no pair, so its
+        # scalars and inverse come from its integer form.  The oracle is the
+        # ring inversion of its m^2 x m^2 matrix.
+        for seed in range(3):
+            t = standard_tensor(m, seed)
+            twin = unpaired(t)
+            oracle_inverse = matrix_to_tensor(mat_inverse(tensor_to_matrix(twin)), m)
+            expected = tuple(
+                sum((x[0, j, 0, j] for j in range(m)), LAURENT.zero)
+                for x in (twin, oracle_inverse)
+            )
+            # Warm the form and its inverse.
+            assert twin.integer_form.inverse is not None
+            calls = []
+            mul = LaurentPoly.__mul__
+
+            def counting(self, other):
+                calls.append(1)
+                return mul(self, other)
+
+            monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+            monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
+            scalars, inverse = partial_trace_scalars(twin), tensor_inverse(twin)
+            monkeypatch.undo()
+            assert calls == []
+            assert scalars == expected == partial_trace_scalars(t)
+            assert repr(scalars) == repr(expected)
+            assert inverse == oracle_inverse and inverse.pair is None
+            assert tensor_inverse(t) == oracle_inverse
+
 
 class TestLaurentPath:
     WORDS = (("", 1), ("1", 2), ("-1 -1 1", 2), ("1 -2 1 -2", 3), ("2 -1 3 -2", 4))
