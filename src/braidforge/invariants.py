@@ -69,12 +69,6 @@ class GBraid:
     strands: int
     perm: Permutation
     labels: tuple[RingMatrix, ...]
-    # The integer forms the labels were materialized from, kept for
-    # component_products.  Only gbraid_from_braid sets it, so it always
-    # describes the stored labels.
-    forms: tuple[IntegerMatrixForm, ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if self.perm.size != self.strands or len(self.labels) != self.strands:
@@ -97,8 +91,13 @@ class LabelScheme:
     with u^-1 = c^-1 T^-e I.  Every other label is a product of these, so
     nothing is inverted or multiplied in the Laurent ring.  A scheme with a
     matrix that has no form (a Laurent entry of mixed degree, say) keeps
-    every label as a matrix in its ring: the ring path.  a, b and
-    inverse_labels return matrices in the ring on both paths.
+    every label as a matrix in its ring: the ring path.
+
+    The G-braid fold reads the cached labels.  a, b and inverse_labels
+    return them as matrices in the ring on both paths, and
+    verify_compatibility checks the relation on the cached labels and that
+    these methods still return them, so a subclass that overrides one is
+    refused rather than checked and then ignored.
 
     A scheme is immutable, so _cache (outside equality and hash) keeps the
     pairs verified and, per index a word uses, (a_s, b_s, b_s^-1, a_s^-1).
@@ -114,8 +113,9 @@ class LabelScheme:
     seed: int | None = None
     u: RingMatrix | None = None
     # "start" -> (u, u^-1, the identity label), as forms or as matrices,
-    # which fixes the path; "labels" -> the tuples for s = 1, 2, ...;
-    # "verified" -> k such that every pair below k passed.
+    # which fixes the path; "given" -> the given matrices (or the constant)
+    # on that path; "labels" -> the tuples for s = 1, 2, ...; "verified" ->
+    # k such that every pair below k passed.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,20 +136,23 @@ class LabelScheme:
 
     def _start(self) -> tuple:
         """(u, u^-1, identity): forms when u and every given a_s have one,
-        else matrices in the ring.  The first call decides the path."""
+        else matrices in the ring.  The first call decides the path and
+        keeps the given a_s as that path uses them."""
         start = self._cache.get("start")
         if start is None:
-            given = self.matrices if self.matrices is not None else (self.constant,)
-            forms = None
-            if all(a is None or integer_form(a) is not None for a in given):
-                forms = self._u_forms()
-            if forms is None:
+            if self.matrices is not None:
+                given = self.matrices
+            else:
+                given = () if self.constant is None else (self.constant,)
+            forms = tuple(integer_form(a) for a in given)
+            u_forms = None if None in forms else self._u_forms()
+            if u_forms is None:
                 ident = RingMatrix.identity(self.ring, self.m)
                 start = (self.u, mat_inverse(self.u), ident)
             else:
                 one = IntegerMatrixForm(Fraction(1), 0, RingMatrix.identity(INTEGER, self.m))
-                start = (*forms, one)
-            self._cache["start"] = start
+                start, given = (*u_forms, one), forms
+            self._cache["start"], self._cache["given"] = start, given
         return start
 
     @property
@@ -171,20 +174,13 @@ class LabelScheme:
         f = integer_form(u)
         return None if f is None else (f, integer_form_inverse(f, ring))
 
-    def _source(self, r: int) -> RingMatrix:
-        """a_r as given or drawn, in its own ring."""
-        if self.matrices is not None:
-            return self.matrices[r - 1]
-        if self.constant is not None:
-            return self.constant
-        return random_invertible_matrix(self.m, random.Random(self.seed * 1_000_003 + r))
-
     def _labels(self, s: int) -> tuple:
         """(a_s, b_s, b_s^-1, a_s^-1), built in index order up to s: forms,
         or matrices in the ring on the ring path."""
         if s < 1 or self.matrices is not None and s > len(self.matrices):
             raise DimensionMismatch(f"the scheme has no label a_{s}")
-        start, ring = self._start(), self.ring
+        start, ring, forms = self._start(), self.ring, self._forms
+        given = self._cache["given"]
         labels = self._cache.setdefault("labels", [])
         for r in range(len(labels) + 1, s + 1):
             if labels:
@@ -192,9 +188,14 @@ class LabelScheme:
                 c, c_inv = a * b, b_inv * a_inv
             else:
                 c, c_inv, _ = start
-            a = self._source(r)
-            if self._forms:
-                a = integer_form(a)
+            if self.matrices is not None:
+                a = given[r - 1]
+            elif self.constant is not None:
+                a = given[0]
+            else:
+                a = random_invertible_matrix(self.m, random.Random(self.seed * 1_000_003 + r))
+                a = integer_form(a) if forms else a
+            if forms:
                 # a_s must lie in the ring, as a.to_ring(ring) checks on the
                 # ring path: this raises if its unit s T^e does not.
                 ring.monomial(a.scale, a.exp)
@@ -223,13 +224,22 @@ class LabelScheme:
         return self._in_ring(labels[2]), self._in_ring(labels[3])
 
     def verify_compatibility(self, max_index: int):
-        """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used."""
+        """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used,
+        on the labels the fold uses, and that a, b and inverse_labels
+        return those labels."""
         verified = self._cache.get("verified", 1)
         for i in range(verified, max_index):
-            if self.a(i) * self.b(i) != self.b(i + 1) * self.a(i + 1):
+            (a, b, _, _), (a2, b2, _, _) = self._labels(i), self._labels(i + 1)
+            if self._in_ring(a * b) != self._in_ring(b2 * a2):
                 raise RelationViolated(
                     f"label scheme fails a_{i} b_{i} = b_{i + 1} a_{i + 1}"
                 )
+            for s in (i, i + 1):
+                public = (self.a(s), self.b(s), *self.inverse_labels(s))
+                if public != tuple(self._in_ring(x) for x in self._labels(s)):
+                    raise RelationViolated(
+                        f"a_{s}, b_{s} or their inverses differ from the labels folded"
+                    )
         self._cache["verified"] = max(verified, max_index)
 
     def _fold(self, w: BraidWord) -> list:
@@ -248,22 +258,14 @@ class LabelScheme:
 def gbraid_from_braid(w: BraidWord, scheme: LabelScheme) -> GBraid:
     """The image of a braid word under t_i -> (swap(i, i+1); a_i, b_i),
     t_i^-1 -> (swap(i, i+1); b_i^-1, a_i^-1)."""
-    labels = scheme._fold(w)
-    g = GBraid(
-        w.strands, underlying_permutation(w), tuple(scheme._in_ring(x) for x in labels)
-    )
-    if scheme._forms:
-        object.__setattr__(g, "forms", tuple(labels))
-    return g
+    labels = tuple(scheme._in_ring(x) for x in scheme._fold(w))
+    return GBraid(w.strands, underlying_permutation(w), labels)
 
 
 def component_products(g: GBraid) -> list[RingMatrix]:
     """One label product per closure component, following each cycle from its
     minimal position; defined up to conjugacy."""
-    if g.forms is None:
-        return cycle_products(g.perm, g.labels)
-    ring = g.labels[0].ring
-    return [f.to_matrix(ring) for f in cycle_products(g.perm, g.forms)]
+    return cycle_products(g.perm, g.labels)
 
 
 def _component_products(w: BraidWord, scheme: LabelScheme) -> list:

@@ -295,7 +295,8 @@ class IntegerMatrixForm(NamedTuple):
     (its entries have gcd 1) unless it is zero; the zero matrix is
     1 * T^0 * 0.  A product of forms multiplies the scales, adds the
     exponents and multiplies the integer matrices, which then need not be
-    primitive; primitive() makes them so again.
+    primitive; primitive() makes them so again.  Only form * form is that
+    product: form * 2 raises, while 2 * form still repeats the tuple.
     """
 
     scale: Fraction

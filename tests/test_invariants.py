@@ -210,6 +210,25 @@ class TestLabelSchemes:
         with pytest.raises(RelationViolated):
             gbraid_from_braid(BraidWord(4, (1,)), scheme)
 
+    def test_verify_compatibility_refuses_consistent_override(self):
+        # a_s k and k^-1 b_s satisfy the relation too, but the fold reads
+        # the cached labels, so overriding a and b must not pass unseen.
+        class Rescaled(LabelScheme):
+            def a(self, s):
+                return super().a(s).scale(Fraction(2))
+
+            def b(self, s):
+                return super().b(s).scale(Fraction(1, 2))
+
+        for make in SCHEMES.values():
+            base = make(4)
+            scheme = Rescaled(base.rule, base.m, seed=base.seed, u=base.u)
+            assert scheme.a(1) * scheme.b(1) == scheme.b(2) * scheme.a(2)
+            with pytest.raises(RelationViolated, match="differ from the labels folded"):
+                scheme.verify_compatibility(2)
+            with pytest.raises(RelationViolated):
+                gbraid_from_braid(BraidWord(3, (1,)), scheme)
+
 
     def test_inverse_labels_inverted_once(self, monkeypatch):
         w = BraidWord(4, (-1, 2, -3, -1, -2, 3, -3))
@@ -447,6 +466,26 @@ class TestLabelForms:
             for s in range(1, 9):
                 for f in scheme._labels(s):
                     assert max(abs(x) for row in f.matrix.entries for x in row) <= 4
+
+    def test_a_is_the_given_or_drawn_matrix(self):
+        # a_s is the s-th given matrix, the constant, or the matrix drawn
+        # from seed * 1_000_003 + s, in the scheme's ring on either path.
+        rng = random.Random(6)
+        given = tuple(random_invertible_matrix(2, rng) for _ in range(4))
+        mixed = RingMatrix(LAURENT, [[1 + T, 1], [T, 1]])
+        schemes = [
+            (LabelScheme("T_INVERSE", 2, matrices=given), given),
+            (LabelScheme("T_INVERSE", 2, matrices=(mixed,) + given[1:]), (mixed,) + given[1:]),
+            (LabelScheme("INVERSE", 2, constant=given[0]), given[:1] * 4),
+        ]
+        for make in (inverse_scheme, t_inverse_scheme, conjugated_u_scheme):
+            drawn = tuple(
+                random_invertible_matrix(2, random.Random(8 * 1_000_003 + s)) for s in (1, 2, 3, 4)
+            )
+            schemes.append((make(2, 8), drawn))
+        for scheme, expected in schemes:
+            for s in (3, 1, 4, 2):
+                assert scheme.a(s) == expected[s - 1].to_ring(scheme.ring)
 
     def test_singular_u_raises(self):
         u = RingMatrix(RATIONAL, [[1, 2], [2, 4]])
