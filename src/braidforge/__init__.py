@@ -30,6 +30,7 @@ from .blockreps import (
     pair_to_block_rep,
     pair_to_triangle_rep,
     rep_from_word,
+    series_blocks,
     series_constructor,
     type_I_pair,
     type_II_pair,

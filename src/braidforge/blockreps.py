@@ -10,8 +10,16 @@ outside its 2k-wide band, so rep_from_word applies a letter as a banded
 update of 2k columns.
 
 Relation catalogs for the quotient algebras are stored as polynomial
-identities in named slots and checked by direct matrix evaluation.  Catalog
-labels like "2.2(iii)" are stable identifiers used in reports and by the CLI.
+identities in named slots and checked by direct matrix evaluation.  When
+every slot matrix has a fraction-free form s*T^e*N (matrix.integer_form;
+every rational matrix has one), the check runs on the integer matrices N:
+each distinct monomial is one integer product, and a relation holds iff,
+for each power of T, its terms at that power sum to the zero integer matrix
+once denominators are cleared.  The block operator of a BlockRep with a
+form is inverted over the integers the same way (integer_form_inverse).
+Matrices with entries of mixed degree, such as Burau's 1 - T, keep their
+ring's own arithmetic.  Catalog labels like "2.2(iii)" are stable
+identifiers used in reports and by the CLI.
 
 The module also constructs the classical series of such representations
 (I, II, III, VI, and the square-zero family) and the mutually annihilating
@@ -21,8 +29,11 @@ the triangle-algebra correspondence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 from .braids import BraidWord
 from .errors import (
@@ -36,7 +47,14 @@ from .errors import (
     RelationViolated,
     SingularInput,
 )
-from .matrix import RingMatrix, mat_det, mat_inverse
+from .matrix import (
+    IntegerMatrixForm,
+    RingMatrix,
+    integer_form,
+    integer_form_inverse,
+    mat_det,
+    mat_inverse,
+)
 from .rings import LAURENT, RATIONAL, LaurentPoly
 
 # -- relation catalogs ------------------------------------------------------
@@ -176,7 +194,18 @@ def relation_set_slots(set_id: str) -> tuple[str, ...]:
 
 
 def check_relation_set(assignment: dict[str, RingMatrix], set_id: str) -> list[str]:
-    """Labels of relations in the catalog that the assignment violates."""
+    """Labels of relations in the catalog that the assignment violates,
+    in catalog order.
+
+    When every slot matrix has an integer form s*T^e*N, the catalog is
+    evaluated on the forms: each distinct monomial (and each of its
+    prefixes) is one integer matrix product, computed once per call and
+    not at all when a factor is zero.  A relation holds iff, for each
+    exponent of T, its terms at that exponent, scaled by their
+    coefficients with denominators cleared, sum to the zero integer
+    matrix.  A slot without a form (entries of mixed degree) sends the
+    whole assignment through its ring's arithmetic.
+    """
     if set_id not in RELATION_SETS:
         raise MissingSlot(f"unknown relation set: {set_id}")
     slots = relation_set_slots(set_id)
@@ -186,10 +215,54 @@ def check_relation_set(assignment: dict[str, RingMatrix], set_id: str) -> list[s
     sizes = {assignment[s].rows for s in slots} | {assignment[s].cols for s in slots}
     if len(sizes) != 1:
         raise DimensionMismatch("all slot matrices must be square of equal size")
-    (n,) = sizes
-    ring = assignment[slots[0]].ring
+    first = assignment[slots[0]]
+    for s in slots[1:]:
+        first._same_ring(assignment[s])
+    relations = RELATION_SETS[set_id]
+    forms = {s: integer_form(assignment[s]) for s in slots}
+    if None in forms.values():
+        return _violated_in_ring(assignment, relations, first.ring, first.rows)
+    return _violated_over_integers(forms, relations)
+
+
+def _violated_over_integers(
+    forms: dict[str, IntegerMatrixForm], relations: list[Relation]
+) -> list[str]:
+    products = {(s,): f for s, f in forms.items()}
+    zero_slots = {s for s, f in forms.items() if f.matrix.is_zero()}
+
+    def product(mono: tuple[str, ...]) -> IntegerMatrixForm:
+        if mono not in products:
+            products[mono] = product(mono[:-1]) * forms[mono[-1]]
+        return products[mono]
+
     violated = []
-    for label, monomials in RELATION_SETS[set_id]:
+    for label, monomials in relations:
+        by_exp: dict[int, list[tuple[Fraction, tuple]]] = {}
+        for coeff, mono in monomials:
+            if not zero_slots.isdisjoint(mono):
+                continue  # a zero factor: the term is zero, left uncomputed
+            f = product(mono)
+            by_exp.setdefault(f.exp, []).append((coeff * f.scale, f.matrix.entries))
+        if any(_nonzero_combination(terms) for terms in by_exp.values()):
+            violated.append(label)
+    return violated
+
+
+def _nonzero_combination(terms: list[tuple[Fraction, tuple]]) -> bool:
+    """Whether sum(c * N) is nonzero, for rational c and integer matrices N:
+    the c are brought to one denominator, which leaves an integer sum."""
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    weights = [c.numerator * (den // c.denominator) for c, _ in terms]
+    entries = zip(*(chain.from_iterable(rows) for _, rows in terms))
+    return any(sum(map(mul, weights, column)) for column in entries)
+
+
+def _violated_in_ring(
+    assignment: dict[str, RingMatrix], relations: list[Relation], ring, n: int
+) -> list[str]:
+    violated = []
+    for label, monomials in relations:
         total = RingMatrix.zeros(ring, n)
         for coeff, mono in monomials:
             term = assignment[mono[0]]
@@ -240,8 +313,12 @@ class BlockRep:
                     f"blocks violate relations: {', '.join(violated)}"
                 )
         op = block_operator(A, B, C, D)
+        form = integer_form(op)
         try:
-            inv = mat_inverse(op)
+            if form is None:
+                inv = mat_inverse(op)
+            else:
+                inv = integer_form_inverse(form, op.ring).to_matrix(op.ring)
         except Exception as exc:
             raise SingularInput(f"block operator is not invertible: {exc}") from exc
         return cls(
@@ -280,13 +357,17 @@ def block_operator(
     return RingMatrix._of(A.ring, top + bottom)
 
 
-def series_constructor(series: str, params) -> BlockRep:
-    """Build a BlockRep for one of the classical series.
+def series_blocks(
+    series: str, params
+) -> tuple[RingMatrix, RingMatrix, RingMatrix, RingMatrix]:
+    """The blocks (A, B, C, D) of one of the classical series.
 
     series I/II/III take an invertible square matrix B; series VI takes a pair
     (alpha, beta) of rationals with alpha nonzero; SQUARE_ZERO takes three
     n x n rational matrices (A, B, C) embedded as strictly upper-triangular
-    2n x 2n blocks a, b, c, with slots x -> a, y -> 1 + c, t -> b.
+    2n x 2n blocks a, b, c, with slots x -> a, y -> 1 + c, t -> b.  The
+    parameters are validated, but neither the relations nor the inverse
+    are computed: series_constructor does both.
     """
     series = series.upper()
     if series in ("I", "II", "III"):
@@ -300,10 +381,10 @@ def series_constructor(series: str, params) -> BlockRep:
         if not ring.is_unit(mat_det(B)):
             raise SingularInput("series I-III require an invertible B")
         if series == "I":
-            return BlockRep.from_blocks(zero, B, ident, zero)
+            return zero, B, ident, zero
         if series == "II":
-            return BlockRep.from_blocks(zero, B, ident, ident - B)
-        return BlockRep.from_blocks(ident - B, B, ident, zero)
+            return zero, B, ident, ident - B
+        return ident - B, B, ident, zero
     if series == "VI":
         alpha, beta = params
         alpha, beta = Fraction(alpha), Fraction(beta)
@@ -314,7 +395,7 @@ def series_constructor(series: str, params) -> BlockRep:
         B = RingMatrix(ring, [[1, beta], [0, 1]])
         C = RingMatrix.identity(ring, 2)
         D = RingMatrix(ring, [[0, alpha], [0, 0]])
-        return BlockRep.from_blocks(A, B, C, D)
+        return A, B, C, D
     if series == "SQUARE_ZERO":
         if not (
             isinstance(params, (tuple, list))
@@ -322,8 +403,13 @@ def series_constructor(series: str, params) -> BlockRep:
             and all(isinstance(p, RingMatrix) and p.is_square() for p in params)
         ):
             raise InvalidSpec("SQUARE_ZERO requires three square matrices (A, B, C)")
-        return square_zero_rep(*params)
+        return _square_zero_blocks(*params)
     raise InvalidSpec(f"unknown series: {series}")
+
+
+def series_constructor(series: str, params) -> BlockRep:
+    """The checked BlockRep of one of the classical series (see series_blocks)."""
+    return BlockRep.from_blocks(*series_blocks(series, params))
 
 
 def _embed_upper(m: RingMatrix) -> RingMatrix:
@@ -346,8 +432,14 @@ def square_zero_rep(A: RingMatrix, B: RingMatrix, C: RingMatrix) -> BlockRep:
     relations identically, and the block operator [[x, y], [I, t]] is
     invertible for every choice of inputs.
     """
+    return BlockRep.from_blocks(*_square_zero_blocks(A, B, C))
+
+
+def _square_zero_blocks(
+    A: RingMatrix, B: RingMatrix, C: RingMatrix
+) -> tuple[RingMatrix, RingMatrix, RingMatrix, RingMatrix]:
     x, y, t = square_zero_assignment(A, B, C).values()
-    return BlockRep.from_blocks(x, y, RingMatrix.identity(x.ring, x.rows), t)
+    return x, y, RingMatrix.identity(x.ring, x.rows), t
 
 
 def square_zero_assignment(

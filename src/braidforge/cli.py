@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .blockreps import check_relation_set, series_constructor
+from .blockreps import check_relation_set, series_blocks
 from .braids import BraidWord, Conjugate, Stabilize, markov_move, parse_braid_word
 from .errors import BraidforgeError, InvalidSpec, ParseError
 from .invariants import (
@@ -108,20 +108,17 @@ def _effective_seed(args) -> int:
 def cmd_verify(args) -> int:
     seed = _effective_seed(args)
     if args.mode == "relations":
+        # The requested catalog is the only check: the blocks are taken
+        # without a BlockRep, which would check BRAID_ALGEBRA and invert.
         if args.degenerate:
-            ident = RingMatrix.identity(RATIONAL, 1)
-            assignment = {"A": ident, "B": ident, "C": ident, "D": ident}
+            blocks = (RingMatrix.identity(RATIONAL, 1),) * 4
+        elif args.series.upper() == "VI":
+            blocks = series_blocks("VI", (1, 2))
+        elif args.series.upper() == "II" and args.m == 1:
+            blocks = series_blocks("II", RingMatrix(LAURENT, [[LaurentPoly.var()]]))
         else:
-            if args.series.upper() == "VI":
-                rep = series_constructor("VI", (1, 2))
-            elif args.series.upper() == "II" and args.m == 1:
-                rep = series_constructor(
-                    "II", RingMatrix(LAURENT, [[LaurentPoly.var()]])
-                )
-            else:
-                rep = series_constructor(args.series, seeded_matrix(args.m, seed))
-            assignment = {"A": rep.A, "B": rep.B, "C": rep.C, "D": rep.D}
-        violated = check_relation_set(assignment, args.relation_set)
+            blocks = series_blocks(args.series, seeded_matrix(args.m, seed))
+        violated = check_relation_set(dict(zip("ABCD", blocks)), args.relation_set)
         for label in violated:
             print(f"FAIL {label}")
         if not violated:

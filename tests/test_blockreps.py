@@ -1,10 +1,11 @@
 """Relation catalogs, block representation series, and operator pairs."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidforge.blockreps import (
@@ -19,6 +20,7 @@ from braidforge.blockreps import (
     pair_to_triangle_rep,
     relation_set_slots,
     rep_from_word,
+    series_blocks,
     series_constructor,
     square_zero_assignment,
     square_zero_rep,
@@ -31,13 +33,16 @@ from braidforge.errors import (
     InvalidPolynomial,
     InvalidSpec,
     MissingSlot,
+    NonUnitDeterminant,
     PeriodicSpec,
     SingularInput,
 )
 from braidforge.matrix import (
     RingMatrix,
     char_poly,
+    integer_form,
     mat_det,
+    mat_inverse,
     random_invertible_matrix,
     random_rational_matrix,
 )
@@ -152,6 +157,75 @@ def relation_oracle(assignment: dict, set_id: str) -> list[str]:
     return violated
 
 
+def fractions_matrix(draw, n: int, den: int) -> RingMatrix:
+    """An n x n rational matrix with entries in {-3..3} / den."""
+    return RingMatrix(
+        RATIONAL,
+        [[Fraction(draw(st.integers(-3, 3)), den) for _ in range(n)] for _ in range(n)],
+    )
+
+
+@st.composite
+def catalog_assignments(draw):
+    """A catalog and an assignment built from one of its solutions, then bent.
+
+    The solutions (series I-III blocks with a B that has denominators,
+    x = X with y = I - X or 0, the square-zero family with z = I) make many
+    relations hold, with terms of different denominators that cancel.  One
+    slot may then be replaced by zero or a random matrix.  On the Laurent
+    ring the slots get powers of T, one shared power or one per slot, so
+    terms that cancel over the rationals land on different exponents; one
+    slot may get mixed degree, which leaves it without an integer form.
+    """
+    set_id = draw(st.sampled_from(sorted(RELATION_SETS)))
+    n = draw(st.integers(1, 2))
+    den = draw(st.integers(1, 3))
+
+    def series_slots(suffix: str) -> dict:
+        b = fractions_matrix(draw, n, den)
+        assume(mat_det(b))
+        blocks = series_blocks(draw(st.sampled_from(["I", "II", "III"])), b)
+        return {f"{name}{suffix}": m for name, m in zip("ABCD", blocks)}
+
+    if set_id == "TRIANGLE":
+        x = fractions_matrix(draw, n, den)
+        y = draw(st.sampled_from([RingMatrix.identity(RATIONAL, n) - x, x.scale(0)]))
+        assignment = {"x": x, "y": y}
+    elif set_id in ("COMMUTATIVE", "SIMPLIFIED_COMMUTATIVE"):
+        parts = [fractions_matrix(draw, n, den) for _ in range(3)]
+        assignment = square_zero_assignment(*parts)
+        assignment["z"] = RingMatrix.identity(RATIONAL, 2 * n)
+    elif set_id == "SEQUENCE_21":
+        assignment = series_slots("i")
+        assignment.update(series_slots("j"))
+    elif set_id == "PERIOD2":
+        assignment = series_slots("1")
+        assignment.update(series_slots("2"))
+    else:
+        assignment = series_slots("")
+    slots = relation_set_slots(set_id)
+    assignment = {s: assignment[s] for s in slots}
+    size = assignment[slots[0]].rows
+    if draw(st.booleans()):
+        bent = draw(st.sampled_from(slots))
+        zero = draw(st.booleans())
+        assignment[bent] = fractions_matrix(draw, size, den).scale(0 if zero else 1)
+    if not draw(st.booleans()):
+        return set_id, assignment
+    shared = draw(st.integers(-2, 2))
+    per_slot = draw(st.booleans())
+    for s in slots:
+        e = draw(st.integers(-2, 2)) if per_slot else shared
+        assignment[s] = assignment[s].to_ring(LAURENT).scale(LaurentPoly.var(e))
+    if draw(st.booleans()):
+        bent = draw(st.sampled_from(slots))
+        m = assignment[bent]
+        if m.is_zero():
+            m = RingMatrix.identity(LAURENT, size)
+        assignment[bent] = m.scale(1 - q)
+    return set_id, assignment
+
+
 class TestCheckRelationSet:
     @pytest.mark.parametrize("set_id", sorted(RELATION_SETS))
     def test_matches_identity_started_oracle(self, set_id):
@@ -176,6 +250,23 @@ class TestCheckRelationSet:
         for set_id in ("SIMPLIFIED", "AD_ZERO"):
             violated = check_relation_set(assignment, set_id)
             assert violated == relation_oracle(assignment, set_id)
+
+    @settings(max_examples=200, deadline=None)
+    @given(catalog_assignments())
+    def test_matches_oracle_on_bent_solutions(self, case):
+        """Rational slots with denominators, Laurent monomial slots with
+        different exponents, zero and mixed-degree slots: the integer path
+        and the ring path report the same labels, in catalog order."""
+        set_id, assignment = case
+        assert check_relation_set(assignment, set_id) == relation_oracle(
+            assignment, set_id
+        )
+
+    def test_mixed_rings_rejected(self):
+        ident = RingMatrix.identity(RATIONAL, 1)
+        assignment = {"x": ident, "y": ident.to_ring(LAURENT)}
+        with pytest.raises(DimensionMismatch, match="ring mismatch"):
+            check_relation_set(assignment, "TRIANGLE")
 
     def test_series_ii_passes(self):
         rep = series_constructor("II", RingMatrix(LAURENT, [[q]]))
@@ -262,6 +353,76 @@ class TestSeriesConstructors:
         inv = rep.inverse_operator()
         assert op * inv == RingMatrix.identity(RATIONAL, 4)
 
+
+
+@st.composite
+def block_quadruples(draw):
+    """Four k x k blocks over one ring: rational with denominators, Laurent
+    monomials c*T^e with one shared e, or Laurent of mixed degree."""
+    kind = draw(st.sampled_from(["rational", "monomial", "mixed"]))
+    k = draw(st.integers(1, 2))
+    den = draw(st.integers(1, 4))
+    blocks = [fractions_matrix(draw, k, den) for _ in range(4)]
+    if kind == "rational":
+        return blocks
+    unit = LaurentPoly.var(draw(st.integers(-2, 2)))
+    blocks = [b.to_ring(LAURENT).scale(unit) for b in blocks]
+    if kind == "mixed":
+        blocks[3] = blocks[3] + RingMatrix.identity(LAURENT, k).scale(unit * q)
+        assume(integer_form(block_operator(*blocks)) is None)
+    return blocks
+
+
+class TestInverseBlocks:
+    """from_blocks's inverse blocks against the mat_inverse route."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(block_quadruples())
+    def test_match_mat_inverse(self, blocks):
+        k = blocks[0].rows
+        try:
+            inv = mat_inverse(block_operator(*blocks))
+        except NonUnitDeterminant as exc:
+            with pytest.raises(SingularInput) as info:
+                BlockRep.from_blocks(*blocks, check=False)
+            assert str(info.value) == f"block operator is not invertible: {exc}"
+            return
+        rep = BlockRep.from_blocks(*blocks, check=False)
+        expected = [
+            inv.submatrix(r, c, r + k, c + k) for r in (0, k) for c in (0, k)
+        ]
+        got = [rep.A1, rep.B1, rep.C1, rep.D1]
+        assert got == expected
+        assert repr(got) == repr(expected)
+        assert [type(x) for m in got for row in m.entries for x in row] == [
+            type(x) for m in expected for row in m.entries for x in row
+        ]
+
+    @pytest.mark.parametrize(
+        "blocks, det",
+        [
+            ((RingMatrix.zeros(RATIONAL, 2),) * 4, "0"),
+            ((RingMatrix.identity(LAURENT, 1).scale(q),) * 4, "0"),
+            (
+                (
+                    RingMatrix(LAURENT, [[1 - q]]),
+                    RingMatrix.zeros(LAURENT, 1),
+                    RingMatrix.zeros(LAURENT, 1),
+                    RingMatrix.identity(LAURENT, 1),
+                ),
+                "1 + -1*T^1",
+            ),
+        ],
+        ids=["rational-zero", "monomial-singular", "mixed-non-unit"],
+    )
+    def test_singular_operator_message(self, blocks, det):
+        ring = blocks[0].ring.name
+        message = (
+            "block operator is not invertible: "
+            f"determinant {det} is not a unit of the {ring} ring"
+        )
+        with pytest.raises(SingularInput, match=f"^{re.escape(message)}$"):
+            BlockRep.from_blocks(*blocks, check=False)
 
 def alexander_from_burau(w: BraidWord) -> LaurentPoly:
     """Delta(T) of w's closure from the unreduced Burau matrix rho.

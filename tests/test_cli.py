@@ -29,6 +29,47 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def src_env() -> dict:
+    """The environment with the checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+# Imports braidforge, runs the calls, imports every module again as
+# perfbench/run.py does for each set-up, then runs them through both `cli`s.
+REIMPORT_SCRIPT = """
+import contextlib, importlib, io, json, pkgutil, sys
+
+def fresh_cli():
+    for name in [n for n in sys.modules if n.split(".")[0] == "braidforge"]:
+        del sys.modules[name]
+    package = importlib.import_module("braidforge")
+    for info in pkgutil.iter_modules(package.__path__):
+        importlib.import_module("braidforge." + info.name)
+    return sys.modules["braidforge.cli"]
+
+def run(cli, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return [code, out.getvalue()]
+
+argvs = json.loads(sys.argv[1])
+old = fresh_cli()
+first = [run(old, argv) for argv in argvs]
+new = fresh_cli()
+assert new is not old
+print(json.dumps({
+    "first": first,
+    "old_after": [run(old, argv) for argv in argvs],
+    "new_after": [run(new, argv) for argv in argvs],
+}))
+"""
+
+
 class TestVerifyRelations:
     def test_series_pass(self, capsys):
         code, out, _ = run_cli(["verify", "--mode", "relations"], capsys)
@@ -65,6 +106,35 @@ class TestVerifyRelations:
         assert out == ""
         assert err == "error: SQUARE_ZERO requires three square matrices (A, B, C)\n"
 
+    def test_survives_reimport(self, capsys):
+        """Calls keep working after every braidforge module is imported again.
+
+        perfbench/run.py drops and re-imports the package for each set-up
+        while the first import's functions go on running, so a module-level
+        name looked up again at call time (a function-local import) finds
+        the new module's objects: ring descriptors compare by identity, and
+        "ring mismatch: integer vs integer" follows.  The subprocess runs
+        each call, re-imports every module, and runs it again through the
+        old and the new `cli`.
+        """
+        argvs = [
+            ["verify", "--mode", "relations", "--series", "III", "--m", "3",
+             "--seed", "5"],
+            ["verify", "--mode", "relations", "--series", "II", "--m", "1"],
+            ["verify", "--mode", "relations", "--degenerate"],
+            ["invariant", "--type", "bracket", "--strands", "3", "--word", "1 2 -1"],
+        ]
+        expected = [list(run_cli(argv, capsys)[:2]) for argv in argvs]
+        assert [code for code, _ in expected] == [0, 0, 1, 0]
+        done = subprocess.run(
+            [sys.executable, "-c", REIMPORT_SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert json.loads(done.stdout) == {
+            "first": expected, "old_after": expected, "new_after": expected,
+        }
 
 class TestVerifyBraidEquation:
     def test_standard_tensor(self, capsys):
@@ -328,15 +398,11 @@ def test_console_script_installed():
     assert entry.load() is main
 
     wrapper = "import sys; from braidforge.cli import main; sys.exit(main())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
-    )
 
     def run_script(*args):
         return subprocess.run(
             [sys.executable, "-c", wrapper, *args],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=src_env(), timeout=120,
         )
 
     helped = run_script("--help")
