@@ -10,16 +10,15 @@ outside its 2k-wide band, so rep_from_word applies a letter as a banded
 update of 2k columns.
 
 Relation catalogs for the quotient algebras are stored as polynomial
-identities in named slots and checked by direct matrix evaluation.  When
-every slot matrix has a fraction-free form s*T^e*N (matrix.integer_form;
-every rational matrix has one), the check runs on the integer matrices N:
-each distinct monomial is one integer product, and a relation holds iff,
-for each power of T, its terms at that power sum to the zero integer matrix
-once denominators are cleared.  The block operator of a BlockRep with a
-form is inverted over the integers the same way (integer_form_inverse).
-Matrices with entries of mixed degree, such as Burau's 1 - T, keep their
-ring's own arithmetic.  Catalog labels like "2.2(iii)" are stable
-identifiers used in reports and by the CLI.
+identities in named slots and checked by direct matrix evaluation on the
+slots' forms s*T^e*N (matrix.forms): integer matrices N when every slot
+has an integer form (every rational matrix does), else the slot matrices
+themselves (entries of mixed degree, such as Burau's 1 - T).  Each distinct
+monomial is one product of the N, and a relation holds iff, for each power
+of T, its terms at that power sum to the zero matrix once denominators are
+cleared.  The block operator of a BlockRep is inverted through its form
+the same way (integer_form_inverse).  Catalog labels like "2.2(iii)" are
+stable identifiers used in reports and by the CLI.
 
 The module also constructs the classical series of such representations
 (I, II, III, VI, and the square-zero family) and the mutually annihilating
@@ -50,10 +49,9 @@ from .errors import (
 from .matrix import (
     IntegerMatrixForm,
     RingMatrix,
-    integer_form,
+    forms,
     integer_form_inverse,
     mat_det,
-    mat_inverse,
 )
 from .rings import LAURENT, RATIONAL, LaurentPoly
 
@@ -197,14 +195,12 @@ def check_relation_set(assignment: dict[str, RingMatrix], set_id: str) -> list[s
     """Labels of relations in the catalog that the assignment violates,
     in catalog order.
 
-    When every slot matrix has an integer form s*T^e*N, the catalog is
-    evaluated on the forms: each distinct monomial (and each of its
-    prefixes) is one integer matrix product, computed once per call and
-    not at all when a factor is zero.  A relation holds iff, for each
-    exponent of T, its terms at that exponent, scaled by their
-    coefficients with denominators cleared, sum to the zero integer
-    matrix.  A slot without a form (entries of mixed degree) sends the
-    whole assignment through its ring's arithmetic.
+    The catalog is evaluated on the slots' forms s*T^e*N (matrix.forms):
+    each distinct monomial (and each of its prefixes) is one product of
+    the form matrices, computed once per call and not at all when a factor
+    is zero.  A relation holds iff, for each exponent of T, its terms at
+    that exponent, scaled by their coefficients with denominators cleared,
+    sum to the zero matrix.
     """
     if set_id not in RELATION_SETS:
         raise MissingSlot(f"unknown relation set: {set_id}")
@@ -218,26 +214,17 @@ def check_relation_set(assignment: dict[str, RingMatrix], set_id: str) -> list[s
     first = assignment[slots[0]]
     for s in slots[1:]:
         first._same_ring(assignment[s])
-    relations = RELATION_SETS[set_id]
-    forms = {s: integer_form(assignment[s]) for s in slots}
-    if None in forms.values():
-        return _violated_in_ring(assignment, relations, first.ring, first.rows)
-    return _violated_over_integers(forms, relations)
-
-
-def _violated_over_integers(
-    forms: dict[str, IntegerMatrixForm], relations: list[Relation]
-) -> list[str]:
-    products = {(s,): f for s, f in forms.items()}
-    zero_slots = {s for s, f in forms.items() if f.matrix.is_zero()}
+    slot_forms = forms((assignment[s] for s in slots), first.ring)
+    products = {(s,): f for s, f in zip(slots, slot_forms)}
+    zero_slots = {s for (s,), f in products.items() if f.matrix.is_zero()}
 
     def product(mono: tuple[str, ...]) -> IntegerMatrixForm:
         if mono not in products:
-            products[mono] = product(mono[:-1]) * forms[mono[-1]]
+            products[mono] = product(mono[:-1]) * products[mono[-1:]]
         return products[mono]
 
     violated = []
-    for label, monomials in relations:
+    for label, monomials in RELATION_SETS[set_id]:
         by_exp: dict[int, list[tuple[Fraction, tuple]]] = {}
         for coeff, mono in monomials:
             if not zero_slots.isdisjoint(mono):
@@ -250,28 +237,13 @@ def _violated_over_integers(
 
 
 def _nonzero_combination(terms: list[tuple[Fraction, tuple]]) -> bool:
-    """Whether sum(c * N) is nonzero, for rational c and integer matrices N:
-    the c are brought to one denominator, which leaves an integer sum."""
+    """Whether sum(c * N) is nonzero, for rational c and form matrices N:
+    the c are brought to one denominator, which leaves an integer
+    combination of the N."""
     den = math.lcm(*(c.denominator for c, _ in terms))
     weights = [c.numerator * (den // c.denominator) for c, _ in terms]
     entries = zip(*(chain.from_iterable(rows) for _, rows in terms))
     return any(sum(map(mul, weights, column)) for column in entries)
-
-
-def _violated_in_ring(
-    assignment: dict[str, RingMatrix], relations: list[Relation], ring, n: int
-) -> list[str]:
-    violated = []
-    for label, monomials in relations:
-        total = RingMatrix.zeros(ring, n)
-        for coeff, mono in monomials:
-            term = assignment[mono[0]]
-            for s in mono[1:]:
-                term = term * assignment[s]
-            total = total + term.scale(coeff)
-        if not total.is_zero():
-            violated.append(label)
-    return violated
 
 
 # -- block representations --------------------------------------------------
@@ -313,12 +285,9 @@ class BlockRep:
                     f"blocks violate relations: {', '.join(violated)}"
                 )
         op = block_operator(A, B, C, D)
-        form = integer_form(op)
+        (form,) = forms((op,), op.ring)
         try:
-            if form is None:
-                inv = mat_inverse(op)
-            else:
-                inv = integer_form_inverse(form, op.ring).to_matrix(op.ring)
+            inv = integer_form_inverse(form, op.ring).to_matrix(op.ring)
         except Exception as exc:
             raise SingularInput(f"block operator is not invertible: {exc}") from exc
         return cls(

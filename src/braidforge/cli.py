@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("relations", "braid-equation", "markov"),
     )
-    p_verify.add_argument("--series", default="II", help="series for relations mode")
+    p_verify.add_argument("--series", default="II", type=str.upper,
+                          choices=("I", "II", "III", "VI"),
+                          help="series for relations mode")
     p_verify.add_argument(
         "--set", dest="relation_set", default="BRAID_ALGEBRA",
         help="relation catalog for relations mode",
@@ -112,9 +114,9 @@ def cmd_verify(args) -> int:
         # without a BlockRep, which would check BRAID_ALGEBRA and invert.
         if args.degenerate:
             blocks = (RingMatrix.identity(RATIONAL, 1),) * 4
-        elif args.series.upper() == "VI":
+        elif args.series == "VI":
             blocks = series_blocks("VI", (1, 2))
-        elif args.series.upper() == "II" and args.m == 1:
+        elif args.series == "II" and args.m == 1:
             blocks = series_blocks("II", RingMatrix(LAURENT, [[LaurentPoly.var()]]))
         else:
             blocks = series_blocks(args.series, seeded_matrix(args.m, seed))

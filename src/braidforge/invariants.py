@@ -8,13 +8,13 @@ exact equality (or exact congruence, for the bracket) under random Markov
 moves; see markov_invariance_suite, whose report keeps the trial seed,
 perturbed word and value of every failing trial.
 
-G-braid labels are integer forms s*T^e*N (matrix.IntegerMatrixForm) when
-the scheme's u and given matrices have them, as every preset's do.  The
-three G-braid pipelines then fold the integer matrices per strand and per
-closure component, take powers, characteristic polynomials and traces of
-the integer products, and apply each product's s*T^e once at the end, so no
-Fraction or Laurent matrix is multiplied per evaluation.  A scheme with a
-matrix that has no form takes the same steps on matrices in its own ring.
+G-braid labels are forms s*T^e*N (matrix.forms): integer ones when the
+scheme's u and given matrices have them, as every preset's do, else the
+matrices themselves in the scheme's ring.  The three G-braid pipelines fold
+the form matrices per strand and per closure component, take powers,
+characteristic polynomials and traces of their products, and apply each
+product's s*T^e once at the end, so with integer forms no Fraction or
+Laurent matrix is multiplied per evaluation.
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ from .matrix import (
     IntegerMatrixForm,
     RingMatrix,
     char_poly,
-    integer_form,
+    forms,
     integer_form_inverse,
-    mat_inverse,
     random_invertible_matrix,
 )
-from .rings import INTEGER, LAURENT, RATIONAL, LaurentPoly
+from .rings import LAURENT, RATIONAL, LaurentPoly
 from .tensors import BraidTensor, partial_trace_scalars, tensor_rep_trace
 
 # -- G-braids ---------------------------------------------------------------
@@ -85,16 +84,16 @@ class LabelScheme:
     ring for T_INVERSE (b_s = T a_s^-1), and the given u for CONJUGATED_U.
     The scheme's ring is u's ring.
 
-    Labels are integer forms s T^e N (matrix.IntegerMatrixForm) when u and
-    every given a_s have one, as in every preset: a_s from integer_form,
-    a_s^-1 from integer_form_inverse, and a scalar u = c T^e I written down
-    with u^-1 = c^-1 T^-e I.  Every other label is a product of these, so
-    nothing is inverted or multiplied in the Laurent ring.  A scheme with a
-    matrix that has no form (a Laurent entry of mixed degree, say) keeps
-    every label as a matrix in its ring: the ring path.
+    Labels are forms s T^e N of one family, u and every given a_s
+    (matrix.forms): integer forms when each has one, as in every preset,
+    else the matrices themselves in the scheme's ring (a Laurent entry of
+    mixed degree, say).  a_s^-1 and u^-1 come from integer_form_inverse,
+    and every other label is a product of these, so with integer forms
+    nothing is inverted or multiplied in the Laurent ring.  A seed-drawn
+    a_s joins the family u decides.
 
     The G-braid fold reads the cached labels.  a, b and inverse_labels
-    return them as matrices in the ring on both paths, and
+    return them as matrices in the ring, and
     verify_compatibility checks the relation on the cached labels and that
     these methods still return them, so a subclass that overrides one is
     refused rather than checked and then ignored.
@@ -102,8 +101,8 @@ class LabelScheme:
     A scheme is immutable, so _cache (outside equality and hash) keeps the
     pairs verified and, per index a word uses, (a_s, b_s, b_s^-1, a_s^-1).
     With c_1 = u and c_s = a_{s-1} b_{s-1}, they are b_s = c_s a_s^-1 and
-    b_s^-1 = a_s c_s^-1, c_s^-1 = b_{s-1}^-1 a_{s-1}^-1, so only a_s, and a
-    u that is not scalar once, are ever inverted.
+    b_s^-1 = a_s c_s^-1, c_s^-1 = b_{s-1}^-1 a_{s-1}^-1, so only each a_s
+    and, once, u are ever inverted.
     """
 
     rule: str
@@ -112,13 +111,14 @@ class LabelScheme:
     constant: RingMatrix | None = None
     seed: int | None = None
     u: RingMatrix | None = None
-    # "start" -> (u, u^-1, the identity label), as forms or as matrices,
-    # which fixes the path; "given" -> the given matrices (or the constant)
-    # on that path; "labels" -> the tuples for s = 1, 2, ...; "verified" ->
-    # k such that every pair below k passed.
+    # "start" -> the forms (u, u^-1, the identity label); "given" -> the
+    # forms of the given matrices (or the constant); "labels" -> the tuples
+    # for s = 1, 2, ...; "verified" -> k such that every pair below k passed.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.m < 1:
+            raise InvalidSpec(f"label size m must be at least 1, got {self.m}")
         if self.matrices is None and self.constant is None and self.seed is None:
             raise RelationViolated("no source for the a_s sequence")
         if self.rule == "INVERSE":
@@ -135,51 +135,22 @@ class LabelScheme:
         return self.u.ring
 
     def _start(self) -> tuple:
-        """(u, u^-1, identity): forms when u and every given a_s have one,
-        else matrices in the ring.  The first call decides the path and
-        keeps the given a_s as that path uses them."""
+        """The forms (u, u^-1, identity).  The first call decides the
+        family of u and the given a_s and keeps the given a_s's forms."""
         start = self._cache.get("start")
         if start is None:
-            if self.matrices is not None:
-                given = self.matrices
-            else:
-                given = () if self.constant is None else (self.constant,)
-            forms = tuple(integer_form(a) for a in given)
-            u_forms = None if None in forms else self._u_forms()
-            if u_forms is None:
-                ident = RingMatrix.identity(self.ring, self.m)
-                start = (self.u, mat_inverse(self.u), ident)
-            else:
-                one = IntegerMatrixForm(Fraction(1), 0, RingMatrix.identity(INTEGER, self.m))
-                start, given = (*u_forms, one), forms
+            given = self.matrices or (() if self.constant is None else (self.constant,))
+            ring, ident = self.ring, RingMatrix.identity(self.ring, self.m)
+            u, one, *given = forms((self.u, ident, *given), ring)
+            start = (u, integer_form_inverse(u, ring), one)
             self._cache["start"], self._cache["given"] = start, given
         return start
 
-    @property
-    def _forms(self) -> bool:
-        """Whether the labels are integer forms; the first use decides."""
-        return isinstance(self._start()[2], IntegerMatrixForm)
-
-    def _u_forms(self) -> tuple[IntegerMatrixForm, IntegerMatrixForm] | None:
-        """The forms of u and u^-1, or None when u has none.  A scalar
-        u = c T^e I needs no inversion: u^-1 = c^-1 T^-e I."""
-        u, ring = self.u, self.ring
-        lam = u[0, 0] if u.rows else ring.one
-        if lam and u == RingMatrix.scalar(ring, u.rows, lam):
-            part = ring.split_monomial(lam)
-            if part is not None:
-                c, e = part
-                ident = RingMatrix.identity(INTEGER, u.rows)
-                return IntegerMatrixForm(c, e, ident), IntegerMatrixForm(1 / c, -e, ident)
-        f = integer_form(u)
-        return None if f is None else (f, integer_form_inverse(f, ring))
-
     def _labels(self, s: int) -> tuple:
-        """(a_s, b_s, b_s^-1, a_s^-1), built in index order up to s: forms,
-        or matrices in the ring on the ring path."""
+        """The forms (a_s, b_s, b_s^-1, a_s^-1), built in index order up to s."""
         if s < 1 or self.matrices is not None and s > len(self.matrices):
             raise DimensionMismatch(f"the scheme has no label a_{s}")
-        start, ring, forms = self._start(), self.ring, self._forms
+        start, ring = self._start(), self.ring
         given = self._cache["given"]
         labels = self._cache.setdefault("labels", [])
         for r in range(len(labels) + 1, s + 1):
@@ -188,40 +159,26 @@ class LabelScheme:
                 c, c_inv = a * b, b_inv * a_inv
             else:
                 c, c_inv, _ = start
-            if self.matrices is not None:
-                a = given[r - 1]
-            elif self.constant is not None:
-                a = given[0]
+            if given:  # the given matrices, or the constant for every index
+                a = given[min(r, len(given)) - 1]
             else:
-                a = random_invertible_matrix(self.m, random.Random(self.seed * 1_000_003 + r))
-                a = integer_form(a) if forms else a
-            if forms:
-                # a_s must lie in the ring, as a.to_ring(ring) checks on the
-                # ring path: this raises if its unit s T^e does not.
-                ring.monomial(a.scale, a.exp)
-                a_inv = integer_form_inverse(a, ring)
-                b, b_inv = (c * a_inv).primitive(), (a * c_inv).primitive()
-            else:
-                a = a.to_ring(ring)
-                a_inv = mat_inverse(a)
-                b, b_inv = c * a_inv, a * c_inv
+                rng = random.Random(self.seed * 1_000_003 + r)
+                a = forms((self.u, random_invertible_matrix(self.m, rng)), ring)[1]
+            a_inv = integer_form_inverse(a, ring)
+            b, b_inv = (c * a_inv).primitive(), (a * c_inv).primitive()
             labels.append((a, b, b_inv, a_inv))
         return labels[s - 1]
 
-    def _in_ring(self, label) -> RingMatrix:
-        """A label or a product of labels as a matrix in the scheme's ring."""
-        return label.to_matrix(self.ring) if self._forms else label
-
     def a(self, s: int) -> RingMatrix:
-        return self._in_ring(self._labels(s)[0])
+        return self._labels(s)[0].to_matrix(self.ring)
 
     def b(self, s: int) -> RingMatrix:
-        return self._in_ring(self._labels(s)[1])
+        return self._labels(s)[1].to_matrix(self.ring)
 
     def inverse_labels(self, s: int) -> tuple[RingMatrix, RingMatrix]:
         """(b_s^-1, a_s^-1), the labels of t_s^-1."""
         labels = self._labels(s)
-        return self._in_ring(labels[2]), self._in_ring(labels[3])
+        return labels[2].to_matrix(self.ring), labels[3].to_matrix(self.ring)
 
     def verify_compatibility(self, max_index: int):
         """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used,
@@ -230,22 +187,21 @@ class LabelScheme:
         verified = self._cache.get("verified", 1)
         for i in range(verified, max_index):
             (a, b, _, _), (a2, b2, _, _) = self._labels(i), self._labels(i + 1)
-            if self._in_ring(a * b) != self._in_ring(b2 * a2):
+            if (a * b).to_matrix(self.ring) != (b2 * a2).to_matrix(self.ring):
                 raise RelationViolated(
                     f"label scheme fails a_{i} b_{i} = b_{i + 1} a_{i + 1}"
                 )
             for s in (i, i + 1):
                 public = (self.a(s), self.b(s), *self.inverse_labels(s))
-                if public != tuple(self._in_ring(x) for x in self._labels(s)):
+                if public != tuple(x.to_matrix(self.ring) for x in self._labels(s)):
                     raise RelationViolated(
                         f"a_{s}, b_{s} or their inverses differ from the labels folded"
                     )
         self._cache["verified"] = max(verified, max_index)
 
     def _fold(self, w: BraidWord) -> list:
-        """Per strand of w (by top position - 1), the product of its labels
-        under t_i -> (a_i, b_i), t_i^-1 -> (b_i^-1, a_i^-1): forms, or
-        matrices on the ring path."""
+        """Per strand of w (by top position - 1), the form of the product of
+        its labels under t_i -> (a_i, b_i), t_i^-1 -> (b_i^-1, a_i^-1)."""
         self.verify_compatibility(w.strands - 1)
 
         def labels_of(letter):
@@ -258,7 +214,7 @@ class LabelScheme:
 def gbraid_from_braid(w: BraidWord, scheme: LabelScheme) -> GBraid:
     """The image of a braid word under t_i -> (swap(i, i+1); a_i, b_i),
     t_i^-1 -> (swap(i, i+1); b_i^-1, a_i^-1)."""
-    labels = tuple(scheme._in_ring(x) for x in scheme._fold(w))
+    labels = tuple(x.to_matrix(scheme.ring) for x in scheme._fold(w))
     return GBraid(w.strands, underlying_permutation(w), labels)
 
 
@@ -269,22 +225,23 @@ def component_products(g: GBraid) -> list[RingMatrix]:
 
 
 def _component_products(w: BraidWord, scheme: LabelScheme) -> list:
-    """component_products of w's G-braid, as forms (or matrices on the ring
-    path) and without materializing any label."""
+    """component_products of w's G-braid, as forms and without
+    materializing any label."""
     return cycle_products(underlying_permutation(w), scheme._fold(w))
 
 
 # -- characteristic polynomial invariants -----------------------------------
 
 
-def _char_poly_terms(f: IntegerMatrixForm, t: int, ring) -> list[tuple[Fraction, int]]:
+def _char_poly_terms(f: IntegerMatrixForm, t: int, ring) -> list[tuple[object, int]]:
     """(c, e) per coefficient c T^e of det(X I - p^t), ascending from X^0,
     for the matrix p with form f.
 
     p^t = s T^e N is a form too (t < 0 through integer_form_inverse), and
-    its X^l coefficient is N's integer one times (s T^e)^(m - l).
-    Faddeev-LeVerrier divides exactly over the integers: every coefficient
-    of an integer matrix's characteristic polynomial is an integer.
+    its X^l coefficient is N's one times (s T^e)^(m - l).  For an integer
+    N, Faddeev-LeVerrier divides exactly over the integers: every
+    coefficient of an integer matrix's characteristic polynomial is an
+    integer.
     """
     if t < 0:
         f, t = integer_form_inverse(f, ring), -t
@@ -299,14 +256,10 @@ def charpoly_class_invariant(
     """Sorted multiset of characteristic polynomials of the t-th powers of
     the component products."""
     ring = scheme.ring
-    products = _component_products(w, scheme)
-    if scheme._forms:
-        polys = [
-            tuple(ring.monomial(c, e) for c, e in _char_poly_terms(f, t, ring))
-            for f in products
-        ]
-    else:
-        polys = [tuple(char_poly(p**t)) for p in products]
+    polys = [
+        tuple(ring.monomial(c, e) for c, e in _char_poly_terms(f, t, ring))
+        for f in _component_products(w, scheme)
+    ]
     return tuple(sorted(polys))
 
 
@@ -317,31 +270,23 @@ def charpoly_family_invariant(
     components of the X^l coefficient of the characteristic polynomial of the
     t-th power of the component product, scaled by T^(t(l-m)*exp).
 
-    With forms every factor is a monomial c T^e, so each P_l is one: the
-    product of the c's at T to the sum of the e's.
+    Every factor is c T^e, with c the X^l coefficient of the form
+    matrix's power (an integer, or a Laurent polynomial for a trivial
+    form), so each P_l is the product of the c's times T to the sum of the
+    e's.
     """
     if scheme.rule != "T_INVERSE":
         raise RelationViolated("charpoly_family_invariant needs the T_INVERSE rule")
     ring, m = scheme.ring, scheme.m
     exp = exponent_sum(w)
-    products = _component_products(w, scheme)
-    if scheme._forms:
-        terms = [_char_poly_terms(f, t, ring) for f in products]
-        return [
-            ring.monomial(
-                math.prod(ts[l][0] for ts in terms),
-                sum(ts[l][1] for ts in terms) + t * (l - m) * exp,
-            )
-            for l in range(m)
-        ]
-    coeff_lists = [char_poly(p**t) for p in products]
-    out = []
-    for l in range(m):
-        value = LaurentPoly.monomial(1, t * (l - m) * exp)
-        for coeffs in coeff_lists:
-            value = value * coeffs[l]
-        out.append(value)
-    return out
+    terms = [_char_poly_terms(f, t, ring) for f in _component_products(w, scheme)]
+    return [
+        ring.monomial(
+            math.prod(ts[l][0] for ts in terms),
+            sum(ts[l][1] for ts in terms) + t * (l - m) * exp,
+        )
+        for l in range(m)
+    ]
 
 
 # -- normalized trace invariants --------------------------------------------
@@ -377,12 +322,8 @@ def group_trace_invariant(w: BraidWord, scheme: LabelScheme):
         raise TraceConditionFailed("trace scalars must be nonzero")
     value = markov_normalization(ring, lam, ring.unit_inverse(lam), w)
     products = _component_products(w, scheme)
-    if scheme._forms:
-        trace = math.prod(f.scale * f.matrix.trace() for f in products)
-        return value * ring.monomial(trace, sum(f.exp for f in products))
-    for p in products:
-        value = value * p.trace()
-    return value
+    trace = math.prod(f.scale * f.matrix.trace() for f in products)
+    return value * ring.monomial(trace, sum(f.exp for f in products))
 
 
 def tensor_trace_invariant(T: BraidTensor, w: BraidWord, method: str = "auto"):

@@ -7,13 +7,17 @@ fraction-free Gauss-Jordan pass (Bareiss 1968), and characteristic
 polynomials the Faddeev-LeVerrier recurrence.  Everything is exact; nothing
 is ever rounded.
 
-A matrix whose nonzero entries are all c*T^e for one shared e (every
-rational matrix, and every pair matrix the presets build) has a
-fraction-free form s*T^e*N: a rational scale s, an exponent e and a
+Every matrix has a form s*T^e*N.  A matrix whose nonzero entries are all
+c*T^e for one shared e (every rational matrix, and every pair matrix the
+presets build) has an integer one: a rational scale s, an exponent e and a
 primitive integer matrix N (integer_form).  The same Gauss-Jordan pass
-inverts N over the integers (integer_form_inverse), so callers can multiply
-and invert such matrices on plain ints and apply s*T^e once.  Any other
-matrix has no form and stays on its ring's own arithmetic.
+inverts N over the integers (integer_form_inverse), so callers multiply and
+invert such matrices on plain ints and apply s*T^e once.  forms() decides
+for a family of matrices that must multiply together: the integer forms
+when every one has one, else each matrix in the family's ring as the
+trivial form 1*T^0*M (an entry such as 1 - T, say).  Products, inverses,
+primitive(), to_matrix() and forms_equal take trivial forms too, so callers
+run one code path for both.
 """
 
 from __future__ import annotations
@@ -289,12 +293,13 @@ def mat_inverse(a: RingMatrix) -> RingMatrix:
 
 
 class IntegerMatrixForm(NamedTuple):
-    """A matrix as scale * T^exp * matrix, with matrix over INTEGER.
+    """A matrix as scale * T^exp * matrix, with matrix over INTEGER, or the
+    trivial form 1 * T^0 * M of a matrix M in its own ring (see forms).
 
     integer_form and integer_form_inverse give a primitive integer matrix
     (its entries have gcd 1) unless it is zero; the zero matrix is
     1 * T^0 * 0.  A product of forms multiplies the scales, adds the
-    exponents and multiplies the integer matrices, which then need not be
+    exponents and multiplies the matrices, which then need not be
     primitive; primitive() makes them so again.  Only form * form is that
     product: form * 2 raises, while 2 * form still repeats the tuple.
     """
@@ -309,10 +314,14 @@ class IntegerMatrixForm(NamedTuple):
         )
 
     def primitive(self) -> "IntegerMatrixForm":
+        if self.matrix.ring is not INTEGER:
+            return self
         return _primitive(self.scale, self.exp, self.matrix.entries)
 
     def to_matrix(self, ring) -> RingMatrix:
         """The matrix scale * T^exp * matrix over ring."""
+        if self.matrix.ring is not INTEGER:
+            return self.matrix
         scale, exp = self.scale, self.exp
         rows = self.matrix.entries
         return RingMatrix._of(
@@ -320,8 +329,40 @@ class IntegerMatrixForm(NamedTuple):
         )
 
 
+def forms(mats: Iterable[RingMatrix], ring) -> tuple[IntegerMatrixForm, ...]:
+    """The forms of a family of matrices in ring, which multiply together.
+
+    These are the integer forms when every matrix has one, else each
+    matrix in ring as the trivial form 1 * T^0 * M.  Either way every
+    matrix must lie in ring: a form whose unit s * T^e does not, or a
+    trivial one that ring cannot coerce, raises.
+    """
+    mats = tuple(mats)
+    out = tuple(integer_form(a) for a in mats)
+    if None in out:
+        return tuple(IntegerMatrixForm(Fraction(1), 0, a.to_ring(ring)) for a in mats)
+    for f in out:
+        ring.monomial(f.scale, f.exp)
+    return out
+
+
+def forms_equal(f: IntegerMatrixForm, g: IntegerMatrixForm, ring) -> bool:
+    """Whether the forms f and g are the same matrix over ring.  Two
+    integer forms compare their integer matrices, scaled to a common
+    scale; any other pair compares the matrices over ring."""
+    x, y = f.matrix, g.matrix
+    if x.ring is not INTEGER or y.ring is not INTEGER:
+        return f.to_matrix(ring) == g.to_matrix(ring)
+    if f.exp != g.exp:
+        return x.is_zero() and y.is_zero()
+    if f.scale == g.scale:
+        return x == y
+    r = g.scale / f.scale
+    return x.scale(r.denominator) == y.scale(r.numerator)
+
+
 def integer_form(a: RingMatrix) -> IntegerMatrixForm | None:
-    """The fraction-free form of a, or None when a has none.
+    """The integer form of a, or None when a has none.
 
     The form exists exactly when every nonzero entry of a is c * T^e for
     one shared e, so every rational matrix has one.  It is checked against
@@ -345,12 +386,11 @@ def integer_form(a: RingMatrix) -> IntegerMatrixForm | None:
         return None
     den = math.lcm(*(c.denominator for row in coeffs for c in row))
     rows = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in coeffs)
-    form = _primitive(Fraction(1, den), exps.pop() if exps else 0, rows)
-    unit = ring.monomial(form.scale, form.exp)
-    pairs = zip(a.entries, form.matrix.entries)
-    if any(unit * y != x for rx, ry in pairs for x, y in zip(rx, ry)):
+    s, e, n = _primitive(Fraction(1, den), exps.pop() if exps else 0, rows)
+    pairs = zip(a.entries, n.entries)
+    if any(ring.monomial(s * y, e) != x for rx, ry in pairs for x, y in zip(rx, ry)):
         raise ArithmeticError(f"integer form does not reproduce {a!r}")
-    return form
+    return IntegerMatrixForm(s, e, n)
 
 
 def integer_form_inverse(f: IntegerMatrixForm, ring) -> IntegerMatrixForm:
@@ -358,10 +398,12 @@ def integer_form_inverse(f: IntegerMatrixForm, ring) -> IntegerMatrixForm:
 
     One fraction-free pass gives d = +-det(N) and d * N^-1 = +-adj(N), so
     the inverse is (scale * d)^-1 * T^-exp * (d * N^-1), with no rational
-    entries.
+    entries.  A trivial form's inverse is the trivial form of mat_inverse.
     Raises NonUnitDeterminant when d = 0, which is exactly when the matrix
     is singular in ring.
     """
+    if f.matrix.ring is not INTEGER:
+        return IntegerMatrixForm(f.scale, f.exp, mat_inverse(f.matrix))
     d, _, rows = _fraction_free_inverse(f.matrix)
     if rows is None:
         raise NonUnitDeterminant(f"determinant 0 is not a unit of the {ring.name} ring")

@@ -4,10 +4,12 @@ Two coefficient rings are used throughout the package: the rationals, backed
 by ``fractions.Fraction``, and single-variable Laurent polynomials over the
 rationals.  Both are immutable, support exact equality, and never round.  A
 third descriptor, INTEGER (Python ``int``, exact ``//``), carries the
-fraction-free forms: a matrix or tensor whose nonzero entries are all c*T^e
-for one shared e is a unit of its ring times an integer one (see
-``matrix.integer_form``), and its products, inverses and traces then run on
-plain ints.
+integer forms s*T^e*N of ``matrix.forms``: a matrix or tensor whose nonzero
+entries are all c*T^e for one shared e is a unit of its ring times an
+integer one, and its products, inverses and traces then run on plain ints.
+Any other one stays in its ring as the trivial form 1*T^0*M; as
+``LaurentRing.monomial`` also takes a Laurent coefficient, s*T^e applies to
+the entries of either kind.
 
 A Laurent polynomial is a finite map exponent -> Fraction with no stored zero
 coefficients; the zero polynomial is the empty map.  The canonical text form
@@ -384,7 +386,10 @@ class LaurentRing:
         ((e, c),) = x._coeffs.items()
         return c, e
 
-    def monomial(self, c: Fraction, e: int) -> LaurentPoly:
+    def monomial(self, c: Fraction | LaurentPoly, e: int) -> LaurentPoly:
+        """c * T^e; a Laurent c is shifted by e."""
+        if isinstance(c, LaurentPoly):
+            return LaurentPoly._of({k + e: x for k, x in c._coeffs.items()})
         return LaurentPoly._of({e: c}) if c else self.zero
 
     def to_text(self, x: LaurentPoly) -> str:

@@ -16,16 +16,15 @@ Traces of word images can be computed three ways: densely (small n only), by
 sparse row contraction, or, for tensors built from a matrix pair, by folding
 the word onto per-strand matrix products and multiplying cycle traces.
 
-A tensor whose nonzero entries are all c*T^e for one shared e (every
-rational tensor, and every pair tensor the presets build) has an integer
-form s*T^e*N: a rational scale s, an exponent e and a tensor N over INTEGER
-(IntegerTensorForm, cached on the tensor when first asked for, together
-with the form of its inverse).  The pair check, the partial-trace scalars,
-the inverse and all three trace routes then run on plain ints: the routes
-on N and on the inverse's integer tensor, with the scales and exponents
-applied once to the integer trace.
-Any other tensor (an entry such as 1 + T, or two entries of different
-degree) runs the same code in its own ring: the Laurent path.
+Every tensor has a form s*T^e*N (IntegerTensorForm, cached on the tensor
+when first asked for, together with the form of its inverse), built by
+matrix.forms: N is over INTEGER when every nonzero entry is c*T^e for one
+shared e (every rational tensor, and every pair tensor the presets build),
+else N is the tensor itself in its ring, with s = 1 and e = 0 (an entry
+such as 1 + T, or two entries of different degree).  The pair check, the
+partial-trace scalars, the inverse and all three trace routes run on N and
+on the inverse's N, with the scales and exponents applied once to the
+result, so an integer form computes on plain ints.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .braids import BraidWord, cycle_products, fold_labels, underlying_permutati
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidSpec,
     NoMatrixPair,
     NotScalar,
     SingularInput,
@@ -46,12 +46,12 @@ from .errors import (
 from .matrix import (
     IntegerMatrixForm,
     RingMatrix,
-    integer_form,
+    forms,
+    forms_equal,
     integer_form_inverse,
     mat_det,
     mat_inverse,
 )
-from .rings import INTEGER
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,10 @@ class BraidTensor:
     pair: tuple[RingMatrix, RingMatrix] | None = field(
         default=None, init=False, compare=False
     )
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise InvalidSpec(f"local dimension m must be at least 1, got {self.m}")
 
     @classmethod
     def from_function(cls, m: int, ring, fn) -> "BraidTensor":
@@ -87,20 +91,17 @@ class BraidTensor:
         return self.entries[i1][i2][j1][j2]
 
     @cached_property
-    def integer_form(self) -> "IntegerTensorForm | None":
-        """This tensor as s * T^e * N with N over INTEGER, or None if it has
-        no such form (some nonzero entry is not c * T^e for one shared e).
+    def integer_form(self) -> "IntegerTensorForm":
+        """This tensor as s * T^e * N: N over INTEGER when the tensor has an
+        integer form, else N is this tensor's entries in its ring.
 
-        A pair tensor takes the forms of its two matrices (each checked
-        against its entries by matrix.integer_form); any other tensor takes
-        the form of its m^2 x m^2 matrix.
+        A pair tensor takes the forms of its two matrices, one family for
+        matrix.forms; any other tensor takes the form of its m^2 x m^2
+        matrix.
         """
         if self.pair is not None:
-            fa, fb = (integer_form(x) for x in self.pair)
-            return None if fa is None or fb is None else _pair_form(self.ring, fa, fb)
-        f = integer_form(tensor_to_matrix(self))
-        if f is None:
-            return None
+            return _pair_form(self.ring, *forms(self.pair, self.ring))
+        (f,) = forms((tensor_to_matrix(self),), self.ring)
         return IntegerTensorForm(self.ring, f.scale, f.exp, matrix_to_tensor(f.matrix, self.m))
 
     def to_jsonable(self) -> dict:
@@ -119,7 +120,8 @@ class BraidTensor:
 
 @dataclass(frozen=True)
 class IntegerTensorForm:
-    """A tensor over ring as scale * T^exp * tensor, with tensor over INTEGER.
+    """A tensor over ring as scale * T^exp * tensor, with tensor over INTEGER
+    or, for the trivial form 1 * T^0 * tensor, over ring.
 
     The form of a pair tensor (a, b) keeps the forms of a and b: its scale
     and exponent are their products and sums, and its tensor is the pair
@@ -212,16 +214,12 @@ def tensor_inverse(T: BraidTensor) -> BraidTensor:
     A pair tensor is (b kron a) times the swap S, so its inverse
     S (b^-1 kron a^-1) = (a^-1 kron b^-1) S is the pair tensor of
     (b^-1, a^-1), and no m^2 x m^2 inversion is needed.  Any other tensor
-    with an integer form reads its inverse off the form's cached inverse;
-    only a tensor without one inverts its m^2 x m^2 matrix in its ring.
+    reads its inverse off its form's cached inverse.
     """
     if T.pair is not None:
         a, b = T.pair
         return tensor_from_matrix_pair(mat_inverse(b), mat_inverse(a))
-    form = T.integer_form
-    if form is None:
-        return matrix_to_tensor(mat_inverse(tensor_to_matrix(T)), T.m)
-    inv, ring = form.inverse, T.ring
+    inv, ring = T.integer_form.inverse, T.ring
     return BraidTensor.from_function(
         T.m, ring, lambda *idx: ring.monomial(inv.scale * inv.tensor[idx], inv.exp)
     )
@@ -269,31 +267,14 @@ def _pair_identities_hold(T: BraidTensor, U: BraidTensor) -> bool:
     "xvi" (roles swapped) when a2 b2 = b1 a1.  With U = T both read a b = b a,
     the period-1 equation "viii".
 
-    With integer forms each side is s * T^e times a product of integer
-    matrices, and the integer products are compared.
+    The products are taken and compared on the pair matrices' forms.
     """
     if T.pair is None or U.pair is None:
         return False
-    ft, fu = T.integer_form, U.integer_form
-    if ft is None or fu is None:
-        (a1, b1), (a2, b2) = T.pair, U.pair
-        return a1 * b1 == b2 * a2 and (U is T or a2 * b2 == b1 * a1)
-
-    (a1, b1), (a2, b2) = ft.tensor.pair, fu.tensor.pair
-    return _scaled_equal(ft, a1 * b1, fu, b2 * a2) and (
-        U is T or _scaled_equal(fu, a2 * b2, ft, b1 * a1)
+    (a1, b1), (a2, b2), ring = T.integer_form.pair, U.integer_form.pair, T.ring
+    return forms_equal(a1 * b1, b2 * a2, ring) and (
+        U is T or forms_equal(a2 * b2, b1 * a1, ring)
     )
-
-
-def _scaled_equal(f, x: RingMatrix, g, y: RingMatrix) -> bool:
-    """Whether s T^e x equals s' T^e' y, for the scales and exponents of the
-    forms f and g and integer matrices x and y."""
-    if f.scale == g.scale and f.exp == g.exp:
-        return x == y
-    if f.exp != g.exp:
-        return x.is_zero() and y.is_zero()
-    r = g.scale / f.scale
-    return x.scale(r.denominator) == y.scale(r.numerator)
 
 
 def _violations(
@@ -327,22 +308,21 @@ def partial_trace_scalars(T: BraidTensor):
     the same contraction of the inverse tensor.  Both matrices must be
     nonzero scalar multiples of the identity.  For a pair tensor (a, b),
     gamma = b a and the inverse's is (b a)^-1; lambda1 is a unit, as
-    lambda1^m = det b det a.  Any other tensor with an integer form
-    s * T^e * N has gamma = s * T^e * gamma(N), and its inverse's form
-    gives lambda2 the same way, so neither is computed in the ring.
+    lambda1^m = det b det a.  Any other tensor, with form s * T^e * N, has
+    gamma = s * T^e * gamma(N), and its inverse's form gives lambda2 the
+    same way.
     """
     ring = T.ring
     if T.pair is not None:
         a, b = T.pair
         lam = _scalar_of((b * a).entries, ring)
         return lam, ring.unit_inverse(lam)
-    form = T.integer_form
-    if form is None:
-        return _scalar_of(_gamma(T), ring), _scalar_of(_gamma(tensor_inverse(T)), ring)
 
     def scalar(f: IntegerTensorForm):
-        return ring.monomial(f.scale * _scalar_of(_gamma(f.tensor), INTEGER), f.exp)
+        n = f.tensor
+        return ring.monomial(f.scale * _scalar_of(_gamma(n), n.ring), f.exp)
 
+    form = T.integer_form
     return scalar(form), scalar(form.inverse)
 
 
@@ -440,10 +420,9 @@ def tensor_rep_trace(T: BraidTensor, w: BraidWord, method: str = "auto"):
     "slots" folds the word onto per-strand matrix products, available when the
     tensor was built from a matrix pair.  "auto" picks the fastest valid one.
 
-    A tensor with an integer form s * T^e * N runs the route on N and on
-    the inverse's form s' * T^e' * N', then multiplies the integer trace
-    once by s^p s'^q T^(e p + e' q), for p positive and q negative letters.
-    Any other tensor runs the route in its own ring.
+    The route runs on the tensor's form s * T^e * N, on N and on the
+    inverse's form s' * T^e' * N', then multiplies the trace once by
+    s^p s'^q T^(e p + e' q), for p positive and q negative letters.
     """
     if method == "auto":
         method = "slots" if T.pair is not None else "contract"
@@ -454,8 +433,6 @@ def tensor_rep_trace(T: BraidTensor, w: BraidWord, method: str = "auto"):
         raise NoMatrixPair("the slots trace needs a tensor built from a matrix pair")
     negative = sum(1 for k in w.letters if k < 0)
     form = T.integer_form
-    if form is None:
-        return route(T, tensor_inverse(T) if negative else None, w)
     positive = len(w.letters) - negative
     scale, exp, inverse = form.scale**positive, form.exp * positive, None
     if negative:

@@ -49,7 +49,7 @@ from braidforge.matrix import (
     random_invertible_matrix,
     random_rational_matrix,
 )
-from braidforge import invariants, presets
+from braidforge import matrix, presets
 from braidforge.presets import (
     conjugated_u_scheme,
     inverse_scheme,
@@ -238,7 +238,7 @@ class TestLabelSchemes:
             calls.append(a)
             return mat_inverse(a)
 
-        monkeypatch.setattr(invariants, "mat_inverse", counting)
+        monkeypatch.setattr(matrix, "mat_inverse", counting)
         for make in SCHEMES.values():
             scheme = make(9)
             first = gbraid_from_braid(w, scheme)
@@ -303,7 +303,7 @@ def mixed_degree_matrices(count: int, seed: int) -> tuple[RingMatrix, ...]:
 
 # (make(m, seed), the pipelines the scheme admits).  A non-scalar u gives
 # products that do not telescope to lam^k I; a mixed-degree matrix keeps
-# the scheme on the ring path.
+# every label of the scheme a trivial form in its ring.
 FOLD_SCHEMES = {
     "INVERSE": (inverse_scheme, ("class",)),
     "T_INVERSE": (t_inverse_scheme, ("family",)),
@@ -335,6 +335,13 @@ FOLD_SCHEMES = {
     "T_INVERSE mixed degree": (
         lambda m, seed: LabelScheme("T_INVERSE", 2, matrices=mixed_degree_matrices(6, seed)),
         ("family",),
+    ),
+    # Labels drawn after u decides the family must join u's ring.
+    "CONJUGATED_U seeded, mixed degree u": (
+        lambda m, seed: LabelScheme(
+            "CONJUGATED_U", 2, seed=seed, u=RingMatrix(LAURENT, [[T, 1], [0, 1]])
+        ),
+        (),
     ),
     "CONJUGATED_U mixed degree": (
         lambda m, seed: LabelScheme(
@@ -412,8 +419,8 @@ class TestFoldOracle:
                 assert value_types(value) == value_types(expected)
 
     def test_paths(self):
-        # Every scheme with forms runs on them; a mixed-degree matrix keeps
-        # the ring path.  An empty one-strand word touches no label.
+        # Every scheme with integer forms runs on them; a mixed-degree matrix
+        # keeps trivial forms.  An empty one-strand word touches no label.
         for name, (make, pipelines) in FOLD_SCHEMES.items():
             scheme = make(2, 5)
             for pipeline in pipelines:
@@ -421,7 +428,8 @@ class TestFoldOracle:
                 products = component_products(letter_by_letter(BraidWord(1), scheme))
                 assert repr(value) == repr(oracle_value(pipeline, products, BraidWord(1), scheme, 2))
             gbraid_from_braid(BraidWord(3, (1, -2)), scheme)
-            assert scheme._forms == ("mixed degree" not in name), name
+            on_integers = scheme._start()[0].matrix.ring is INTEGER
+            assert on_integers == ("mixed degree" not in name), name
 
 
 class TestLabelForms:
@@ -437,7 +445,7 @@ class TestLabelForms:
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counting)
         monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
-        monkeypatch.setattr(invariants, "mat_inverse", lambda a: pytest.fail("inverted"))
+        monkeypatch.setattr(matrix, "mat_inverse", lambda a: pytest.fail("inverted"))
         scheme = t_inverse_scheme(3, 4)
         for s in range(1, 6):
             scheme._labels(s)
@@ -445,7 +453,7 @@ class TestLabelForms:
         value = charpoly_family_invariant(w, scheme, -1)
         assert calls == []
         monkeypatch.undo()
-        assert scheme._forms
+        assert scheme._start()[0].matrix.ring is INTEGER
         assert scheme.b(1) == mat_inverse(scheme.a(1)).scale(T)
         products = component_products(letter_by_letter(w, replace(scheme)))
         assert value == oracle_value("family", products, w, scheme, -1)
@@ -762,6 +770,16 @@ class TestSimplicityAndBracket:
 def test_nonpositive_m_is_invalid_spec(invariant, m):
     with pytest.raises(InvalidSpec, match="m must be at least 1"):
         invariant_function(invariant, m, 1, 3)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_nonpositive_m_label_scheme_is_invalid_spec(m):
+    # m = 0 gives an empty u, which the pipelines cannot index: the scheme
+    # itself refuses it.
+    with pytest.raises(InvalidSpec, match="m must be at least 1"):
+        group_trace_invariant(TREFOIL, conjugated_u_scheme(m, 1))
+    with pytest.raises(InvalidSpec, match="m must be at least 1"):
+        LabelScheme("T_INVERSE", m, seed=1)
 
 
 class TestSuiteHarness:

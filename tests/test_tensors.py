@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from braidforge.braids import BraidWord, parse_braid_word, random_braid_word
 from braidforge.errors import (
     DimensionMismatch,
+    InvalidSpec,
     NoMatrixPair,
     NonUnitDeterminant,
     NotScalar,
@@ -62,6 +63,16 @@ class TestTensorMatrixRoundTrip:
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
         )
         assert tensor_to_matrix(t) == expected
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_nonpositive_m_is_invalid_spec(m):
+    # The partial traces index T[0, j, 0, j], so the tensor itself refuses
+    # m < 1.
+    with pytest.raises(InvalidSpec, match="m must be at least 1"):
+        identity_tensor(m, RATIONAL)
+    with pytest.raises(InvalidSpec, match="m must be at least 1"):
+        BraidTensor(m, LAURENT, ())
 
 
 class TestTensorFromMatrixPair:
@@ -533,7 +544,7 @@ class TestIntegerPath:
     @settings(max_examples=60, deadline=None)
     @given(monomial_tensors(), st.data())
     def test_routes_match_laurent_oracle(self, t, data):
-        assert t.integer_form is not None
+        assert t.integer_form.tensor.ring is INTEGER
         w = data.draw(oracle_words(t.m))
         expected = contraction_oracle(t, w)
         routes = ("contract", "dense") + (("slots",) if t.pair is not None else ())
@@ -561,9 +572,13 @@ class TestIntegerPath:
         assert check_braid_equation(u, t) == oracle_violations(u, t)
 
     def test_routes_run_on_integers(self, monkeypatch):
-        t = standard_tensor(2, 5)
+        # The expected traces come from a twin; t's form and its inverse
+        # are built inside the counting window.  Building the pair tensor
+        # itself inverts a Laurent matrix, so it stays outside.
         w = parse_braid_word("1 -2 1 -2", 3)
-        expected = {r: tensor_rep_trace(t, w, r) for r in ("slots", "contract", "dense")}
+        twin = standard_tensor(2, 5)
+        expected = {r: tensor_rep_trace(twin, w, r) for r in ("slots", "contract", "dense")}
+        t = standard_tensor(2, 5)
         calls = []
         mul = LaurentPoly.__mul__
 
@@ -629,8 +644,17 @@ class TestLaurentPath:
 
     def test_mixed_degree_pair_matches_oracle(self):
         t = laurent_shear_pair()
-        assert t.integer_form is None
+        assert t.integer_form.tensor.ring is LAURENT
         assert check_braid_equation(t) == oracle_violations(t) == []
+        # Period 2 with a partner that has an integer form: (I, T I) passes
+        # with t, (I, 2T I) fails.
+        ident = RingMatrix.identity(LAURENT, 2)
+        for c in (T, 2 * T):
+            u = tensor_from_matrix_pair(ident, ident.scale(c))
+            assert u.integer_form.tensor.ring is INTEGER
+            assert check_braid_equation(t, u) == oracle_violations(t, u)
+            assert check_braid_equation(u, t) == oracle_violations(u, t)
+            assert (check_braid_equation(t, u) == []) == (c == T)
         for text, strands in self.WORDS:
             w = parse_braid_word(text, strands)
             expected = contraction_oracle(t, w)
@@ -639,7 +663,7 @@ class TestLaurentPath:
 
     def test_pairless_laurent_tensor_matches_oracle(self):
         t = unpaired(laurent_shear_pair())
-        assert t.integer_form is None
+        assert t.integer_form.tensor.ring is LAURENT
         assert check_braid_equation(t) == oracle_violations(t) == []
         for text, strands in self.WORDS:
             w = parse_braid_word(text, strands)
@@ -654,7 +678,7 @@ class TestLaurentPath:
     def test_singular_tensors_raise(self):
         w = parse_braid_word("1 -1", 2)
         ones = BraidTensor.from_function(2, RATIONAL, lambda *idx: 1)
-        assert ones.integer_form is not None
+        assert ones.integer_form.tensor.ring is INTEGER
         mixed = BraidTensor.from_function(2, LAURENT, lambda *idx: 1 + T)
         non_unit = matrix_to_tensor(
             RingMatrix(
