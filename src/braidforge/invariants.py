@@ -48,6 +48,7 @@ from .matrix import (
     RingMatrix,
     char_poly,
     forms,
+    forms_equal,
     integer_form_inverse,
     random_invertible_matrix,
 )
@@ -182,12 +183,12 @@ class LabelScheme:
 
     def verify_compatibility(self, max_index: int):
         """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used,
-        on the labels the fold uses, and that a, b and inverse_labels
-        return those labels."""
+        on the label forms the fold uses (by forms_equal), and that a, b and
+        inverse_labels return those labels."""
         verified = self._cache.get("verified", 1)
         for i in range(verified, max_index):
             (a, b, _, _), (a2, b2, _, _) = self._labels(i), self._labels(i + 1)
-            if (a * b).to_matrix(self.ring) != (b2 * a2).to_matrix(self.ring):
+            if not forms_equal(a * b, b2 * a2, self.ring):
                 raise RelationViolated(
                     f"label scheme fails a_{i} b_{i} = b_{i + 1} a_{i + 1}"
                 )

@@ -1,8 +1,8 @@
 """Ready-made invariant pipelines built from seeded random parameters.
 
 These helpers wire the standard ingredient choices used by the CLI and the
-verification suites: a random invertible rational matrix a with partner
-b = T * a^-1 for the tensor pipeline, seeded label schemes for the G-braid
+verification suites: a random rational a with b = T * a^-1 (a inverted over
+the rationals) for the tensor pipeline, seeded label schemes for the G-braid
 pipelines, and the swap block representation for the bracket pipeline.
 """
 
@@ -43,9 +43,9 @@ def seeded_matrix(m: int, seed: int) -> RingMatrix:
 
 def standard_tensor(m: int, seed: int) -> BraidTensor:
     """The tensor from the pair (a, T * a^-1) for a seeded random a in GL_m(Q)."""
-    a = seeded_matrix(m, seed).to_ring(LAURENT)
-    b = mat_inverse(a).scale(LaurentPoly.var())
-    return tensor_from_matrix_pair(a, b)
+    a = seeded_matrix(m, seed)
+    b = mat_inverse(a).to_ring(LAURENT).scale(LaurentPoly.var())
+    return tensor_from_matrix_pair(a.to_ring(LAURENT), b)
 
 
 def inverse_scheme(m: int, seed: int) -> LabelScheme:

@@ -21,10 +21,10 @@ when first asked for, together with the form of its inverse), built by
 matrix.forms: N is over INTEGER when every nonzero entry is c*T^e for one
 shared e (every rational tensor, and every pair tensor the presets build),
 else N is the tensor itself in its ring, with s = 1 and e = 0 (an entry
-such as 1 + T, or two entries of different degree).  The pair check, the
-partial-trace scalars, the inverse and all three trace routes run on N and
-on the inverse's N, with the scales and exponents applied once to the
-result, so an integer form computes on plain ints.
+such as 1 + T, or two entries of different degree).  Each operation has
+one path, on the form: the pair check, the partial-trace scalars, the
+inverse and all three trace routes run on N and on the inverse's N, with
+s and e applied once to the result, so an integer form computes on ints.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .matrix import (
     forms_equal,
     integer_form_inverse,
     mat_det,
-    mat_inverse,
 )
 
 
@@ -62,8 +61,8 @@ class BraidTensor:
     ring: object
     entries: tuple
     # The matrix pair (a, b) the entries were built from, kept for fast
-    # traces.  Only tensor_from_matrix_pair sets it, so it always describes
-    # the stored entries.
+    # traces.  Only tensor_from_matrix_pair and a pair form's to_tensor set
+    # it, so it always describes the stored entries.
     pair: tuple[RingMatrix, RingMatrix] | None = field(
         default=None, init=False, compare=False
     )
@@ -147,6 +146,14 @@ class IntegerTensorForm:
             self.ring, inv.scale, inv.exp, matrix_to_tensor(inv.matrix, self.tensor.m)
         )
 
+    def to_tensor(self) -> BraidTensor:
+        """The tensor scale * T^exp * tensor over ring, keeping a pair form's pair."""
+        ring, n, s, e = self.ring, self.tensor, self.scale, self.exp
+        out = BraidTensor.from_function(n.m, ring, lambda *idx: ring.monomial(s * n[idx], e))
+        if self.pair is not None:
+            object.__setattr__(out, "pair", tuple(f.to_matrix(ring) for f in self.pair))
+        return out
+
 
 def _pair_form(ring, fa: IntegerMatrixForm, fb: IntegerMatrixForm) -> IntegerTensorForm:
     """The form of the pair tensor of the matrices with forms fa and fb."""
@@ -209,20 +216,13 @@ def _pair_tensor(a: RingMatrix, b: RingMatrix) -> BraidTensor:
 
 
 def tensor_inverse(T: BraidTensor) -> BraidTensor:
-    """The tensor of the inverse operator, refolded to 4-index form.
+    """The tensor of the inverse operator, read off the form's cached inverse.
 
     A pair tensor is (b kron a) times the swap S, so its inverse
     S (b^-1 kron a^-1) = (a^-1 kron b^-1) S is the pair tensor of
-    (b^-1, a^-1), and no m^2 x m^2 inversion is needed.  Any other tensor
-    reads its inverse off its form's cached inverse.
+    (b^-1, a^-1), whose form is the inverse form; the result keeps its pair.
     """
-    if T.pair is not None:
-        a, b = T.pair
-        return tensor_from_matrix_pair(mat_inverse(b), mat_inverse(a))
-    inv, ring = T.integer_form.inverse, T.ring
-    return BraidTensor.from_function(
-        T.m, ring, lambda *idx: ring.monomial(inv.scale * inv.tensor[idx], inv.exp)
-    )
+    return T.integer_form.inverse.to_tensor()
 
 
 def check_braid_equation(
@@ -306,17 +306,13 @@ def partial_trace_scalars(T: BraidTensor):
 
     lambda1 comes from gamma^{i1}_{i2} = sum_j T[i1][j][i2][j]; lambda2 from
     the same contraction of the inverse tensor.  Both matrices must be
-    nonzero scalar multiples of the identity.  For a pair tensor (a, b),
-    gamma = b a and the inverse's is (b a)^-1; lambda1 is a unit, as
-    lambda1^m = det b det a.  Any other tensor, with form s * T^e * N, has
-    gamma = s * T^e * gamma(N), and its inverse's form gives lambda2 the
-    same way.
+    nonzero scalar multiples of the identity.  A tensor with form
+    s * T^e * N has gamma = s * T^e * gamma(N), and its inverse's form
+    gives lambda2 the same way.  For a pair tensor (a, b), gamma(N) is the
+    product N_b N_a of its matrices' forms and the inverse's is its inverse,
+    so lambda1 is the scalar of b a, a unit as lambda1^m = det b det a.
     """
     ring = T.ring
-    if T.pair is not None:
-        a, b = T.pair
-        lam = _scalar_of((b * a).entries, ring)
-        return lam, ring.unit_inverse(lam)
 
     def scalar(f: IntegerTensorForm):
         n = f.tensor

@@ -271,6 +271,36 @@ class TestBraidEquation:
             check_braid_equation(swap_tensor(2, RATIONAL), swap_tensor(3, RATIONAL))
 
 
+def shear_pairs(m: int, ring) -> list[BraidTensor]:
+    """Pairs (a * shear, c * b) for random a, b; b a is not scalar.  Over
+    LAURENT the pair gets polynomial entries and a monomial factor, so its
+    form is trivial."""
+    rng = random.Random(40 + m)
+    up, c = (T - 1, -2 * T**-1) if ring is LAURENT else (3, -2)
+    shear = RingMatrix(
+        ring,
+        [[1 if j == i else up if j == i + 1 else 0 for j in range(m)] for i in range(m)],
+    )
+    out = []
+    for _ in range(3):
+        a, b = (random_invertible_matrix(m, rng).to_ring(ring) for _ in range(2))
+        out.append(tensor_from_matrix_pair(a * shear, b.scale(c)))
+    return out
+
+
+def pair_cases() -> list[BraidTensor]:
+    """Pair tensors with integer and with trivial forms, with and without a
+    scalar product b a."""
+    out = [standard_tensor(m, seed) for m in (1, 2, 3) for seed in range(4)]
+    for m in (1, 2, 3):
+        out += [rational_pair_tensor(m, seed) for seed in range(3)]
+        a = random_invertible_matrix(m, random.Random(m))
+        out.append(tensor_from_matrix_pair(a, mat_inverse(a).scale(Fraction(-2, 3))))
+    for m in (2, 3):
+        out += shear_pairs(m, RATIONAL) + shear_pairs(m, LAURENT)
+    return out + [laurent_shear_pair()]
+
+
 class TestTensorInverse:
     def test_matrix_inverse(self):
         t = standard_tensor(2, 4)
@@ -280,29 +310,18 @@ class TestTensorInverse:
         )
 
     def test_pair_propagates(self):
-        t = standard_tensor(2, 4)
-        inv = tensor_inverse(t)
-        a, b = t.pair
-        assert inv.pair == (b**-1, a**-1)
+        for t in pair_cases():
+            inv = tensor_inverse(t)
+            a, b = t.pair
+            assert inv.pair == (mat_inverse(b), mat_inverse(a))
+            twice = tensor_inverse(inv)
+            assert twice == t and twice.pair == t.pair
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("ring", [RATIONAL, LAURENT], ids=lambda r: r.name)
     def test_pair_route_matches_matrix_route(self, m, ring):
-        rng = random.Random(40 + m)
-        # Over LAURENT the pair gets polynomial entries and a monomial factor.
-        up, c = (T - 1, -2 * T**-1) if ring is LAURENT else (3, -2)
-        shear = RingMatrix(
-            ring,
-            [
-                [1 if j == i else up if j == i + 1 else 0 for j in range(m)]
-                for i in range(m)
-            ],
-        )
         tensors = [standard_tensor(m, 4)] if ring is LAURENT else []
-        for _ in range(3):
-            a, b = (random_invertible_matrix(m, rng).to_ring(ring) for _ in range(2))
-            tensors.append(tensor_from_matrix_pair(a * shear, b.scale(c)))
-        for t in tensors:
+        for t in tensors + shear_pairs(m, ring):
             inv = tensor_inverse(t)
             assert inv == matrix_to_tensor(mat_inverse(tensor_to_matrix(t)), m)
             assert tensor_to_matrix(t) * tensor_to_matrix(inv) == RingMatrix.identity(
@@ -359,6 +378,24 @@ class TestPartialTraces:
         for t in tensors:
             unpaired = BraidTensor(t.m, t.ring, t.entries)
             assert partial_trace_scalars(t) == partial_trace_scalars(unpaired)
+
+    def test_pair_scalars_match_ring_product(self):
+        # The oracle is the scalar lam of b a in the ring, with lam^-1.
+        scalar_seen = non_scalar_seen = False
+        for t in pair_cases():
+            a, b = t.pair
+            ba = b * a
+            lam = ba.entries[0][0]
+            if ba == RingMatrix.scalar(t.ring, t.m, lam):
+                scalar_seen = True
+                expected = (lam, t.ring.unit_inverse(lam))
+                assert partial_trace_scalars(t) == expected
+                assert repr(partial_trace_scalars(t)) == repr(expected)
+            else:
+                non_scalar_seen = True
+                with pytest.raises(NotScalar, match="^partial trace is not a scalar matrix$"):
+                    partial_trace_scalars(t)
+        assert scalar_seen and non_scalar_seen
 
     def test_pair_with_non_scalar_product_fails(self):
         a = RingMatrix(RATIONAL, [[1, 1], [0, 1]])
@@ -619,8 +656,10 @@ class TestIntegerPath:
                 sum((x[0, j, 0, j] for j in range(m)), LAURENT.zero)
                 for x in (twin, oracle_inverse)
             )
-            # Warm the form and its inverse.
+            # Warm the forms and their inverses: the paired t reads its
+            # scalars and inverse from its form too.
             assert twin.integer_form.inverse is not None
+            assert t.integer_form.inverse is not None
             calls = []
             mul = LaurentPoly.__mul__
 
@@ -631,12 +670,30 @@ class TestIntegerPath:
             monkeypatch.setattr(LaurentPoly, "__mul__", counting)
             monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
             scalars, inverse = partial_trace_scalars(twin), tensor_inverse(twin)
+            pair_scalars, pair_inverse = partial_trace_scalars(t), tensor_inverse(t)
             monkeypatch.undo()
             assert calls == []
-            assert scalars == expected == partial_trace_scalars(t)
-            assert repr(scalars) == repr(expected)
+            assert scalars == expected == pair_scalars
+            assert repr(scalars) == repr(expected) == repr(pair_scalars)
             assert inverse == oracle_inverse and inverse.pair is None
-            assert tensor_inverse(t) == oracle_inverse
+            assert pair_inverse == oracle_inverse and pair_inverse.pair is not None
+
+    def test_standard_tensor_inverts_over_rationals(self, monkeypatch):
+        import braidforge.matrix
+        import braidforge.presets
+
+        rings = []
+        inverse = braidforge.matrix.mat_inverse
+
+        def recording(a):
+            rings.append(a.ring)
+            return inverse(a)
+
+        monkeypatch.setattr(braidforge.matrix, "mat_inverse", recording)
+        monkeypatch.setattr(braidforge.presets, "mat_inverse", recording)
+        for m in (1, 2, 3):
+            standard_tensor(m, 0)
+        assert rings == [RATIONAL] * 3
 
 
 class TestLaurentPath:
