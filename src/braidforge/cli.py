@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -217,9 +218,18 @@ def _csv_value(value) -> str:
     return json.dumps(rendered)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call and kept; callers of
+    build_parser get a new parser each, so changing one cannot reach main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code: 0 pass, 1 a failed check,
+    2 a configuration error.  One parser serves every call in a process
+    (parsing does not change it); BRAIDFORGE_SEED is read on every call."""
+    args = _parser().parse_args(argv)
     try:
         if args.m < 1:
             raise InvalidSpec(f"--m must be at least 1, got {args.m}")

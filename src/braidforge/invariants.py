@@ -114,7 +114,8 @@ class LabelScheme:
     u: RingMatrix | None = None
     # "start" -> the forms (u, u^-1, the identity label); "given" -> the
     # forms of the given matrices (or the constant); "labels" -> the tuples
-    # for s = 1, 2, ...; "verified" -> k such that every pair below k passed.
+    # for s = 1, 2, ...; "verified" -> k such that every pair below k
+    # and (for k > 1) every index up to k passed.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -184,21 +185,25 @@ class LabelScheme:
     def verify_compatibility(self, max_index: int):
         """Check a_i b_i = b_{i+1} a_{i+1} for every consecutive pair used,
         on the label forms the fold uses (by forms_equal), and that a, b and
-        inverse_labels return those labels."""
-        verified = self._cache.get("verified", 1)
-        for i in range(verified, max_index):
+        inverse_labels return those labels.
+
+        Each pair and each index is checked once per scheme: a pair's first
+        index was checked with the pair before it, except index 1, and a
+        check that raises is repeated on the next call.
+        """
+        for i in range(self._cache.get("verified", 1), max_index):
             (a, b, _, _), (a2, b2, _, _) = self._labels(i), self._labels(i + 1)
             if not forms_equal(a * b, b2 * a2, self.ring):
                 raise RelationViolated(
                     f"label scheme fails a_{i} b_{i} = b_{i + 1} a_{i + 1}"
                 )
-            for s in (i, i + 1):
+            for s in (i, i + 1) if i == 1 else (i + 1,):
                 public = (self.a(s), self.b(s), *self.inverse_labels(s))
                 if public != tuple(x.to_matrix(self.ring) for x in self._labels(s)):
                     raise RelationViolated(
                         f"a_{s}, b_{s} or their inverses differ from the labels folded"
                     )
-        self._cache["verified"] = max(verified, max_index)
+            self._cache["verified"] = i + 1
 
     def _fold(self, w: BraidWord) -> list:
         """Per strand of w (by top position - 1), the form of the product of

@@ -166,8 +166,14 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self ** n; a unit c*T^e gives c^n*T^(e*n) directly, for any sign
+        of n, and any other polynomial is squared and multiplied (a negative
+        power of it raises NonUnitDeterminant)."""
         if not isinstance(n, int):
             return NotImplemented
+        if self.is_unit():
+            ((e, c),) = self._coeffs.items()
+            return LaurentPoly._of({e * n: c**n})
         if n < 0:
             return self.unit_inverse() ** (-n)
         result = LaurentPoly.const(1)

@@ -25,6 +25,10 @@ such as 1 + T, or two entries of different degree).  Each operation has
 one path, on the form: the pair check, the partial-trace scalars, the
 inverse and all three trace routes run on N and on the inverse's N, with
 s and e applied once to the result, so an integer form computes on ints.
+The partial-trace scalars (lambda1, lambda2) belong to the tensor, not to
+a word: they are cached with the form next to its inverse, so a tensor's
+invariant on many words computes them once.  A trivial form's to_tensor is
+its tensor itself, so inverting such a tensor multiplies no entry.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .matrix import (
     integer_form_inverse,
     mat_det,
 )
+from .rings import INTEGER
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,23 @@ class IntegerTensorForm:
             self.ring, inv.scale, inv.exp, matrix_to_tensor(inv.matrix, self.tensor.m)
         )
 
+    @cached_property
+    def trace_scalars(self) -> tuple:
+        """(lambda1, lambda2) of partial_trace_scalars, from this form and
+        its inverse's, computed on the first call and kept with the form."""
+        ring = self.ring
+
+        def scalar(f: IntegerTensorForm):
+            n = f.tensor
+            return ring.monomial(f.scale * _scalar_of(_gamma(n), n.ring), f.exp)
+
+        return scalar(self), scalar(self.inverse)
+
     def to_tensor(self) -> BraidTensor:
-        """The tensor scale * T^exp * tensor over ring, keeping a pair form's pair."""
+        """The tensor scale * T^exp * tensor over ring, keeping a pair form's
+        pair; a trivial form's tensor is that tensor itself, pair included."""
+        if self.tensor.ring is not INTEGER:
+            return self.tensor
         ring, n, s, e = self.ring, self.tensor, self.scale, self.exp
         out = BraidTensor.from_function(n.m, ring, lambda *idx: ring.monomial(s * n[idx], e))
         if self.pair is not None:
@@ -311,15 +331,12 @@ def partial_trace_scalars(T: BraidTensor):
     gives lambda2 the same way.  For a pair tensor (a, b), gamma(N) is the
     product N_b N_a of its matrices' forms and the inverse's is its inverse,
     so lambda1 is the scalar of b a, a unit as lambda1^m = det b det a.
+
+    The pair is computed once per tensor and cached with its form
+    (IntegerTensorForm.trace_scalars); NotScalar and ZeroScalar are not
+    cached, so a tensor without the scalars raises on every call.
     """
-    ring = T.ring
-
-    def scalar(f: IntegerTensorForm):
-        n = f.tensor
-        return ring.monomial(f.scale * _scalar_of(_gamma(n), n.ring), f.exp)
-
-    form = T.integer_form
-    return scalar(form), scalar(form.inverse)
+    return T.integer_form.trace_scalars
 
 
 def _gamma(T: BraidTensor) -> list[list]:

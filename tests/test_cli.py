@@ -367,6 +367,68 @@ class TestTableCommand:
         assert all(row[3] for row in rows)
 
 
+def fresh_run(argv):
+    """(exit code, stdout, stderr) of `main(argv)` in a new process that
+    inherits this one's environment."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from braidforge.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+VALID_ARGV = ["verify", "--mode", "relations", "--series", "III", "--m", "2"]
+
+
+class TestParserReuse:
+    """main parses with one parser per process; every call must behave as
+    the first call of a new process would."""
+
+    def test_parser_built_once_and_kept_apart(self, capsys):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli._parser()
+        # Changing a parser from build_parser does not reach main.
+        cli.build_parser().set_defaults(relation_set="NOPE")
+        assert run_cli(VALID_ARGV, capsys) == fresh_run(VALID_ARGV)
+
+    def test_argparse_rejection_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--mode", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert run_cli(VALID_ARGV, capsys) == fresh_run(VALID_ARGV)
+
+    def test_invalid_spec_then_valid_call(self, capsys):
+        code, out, err = run_cli(VALID_ARGV + ["--m", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --m must be at least 1, got 0\n"
+        assert run_cli(VALID_ARGV, capsys) == fresh_run(VALID_ARGV)
+
+    def test_env_seed_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["invariant", "--type", "tensor-trace", "--strands", "3",
+                "--word", "1 -2 1", "--json"]
+        outs = []
+        for seed in ("3", "4"):
+            monkeypatch.setenv("BRAIDFORGE_SEED", seed)
+            result = run_cli(argv, capsys)
+            assert result == fresh_run(argv)
+            assert json.loads(result[1])["parameters"]["seed"] == int(seed)
+            outs.append(result[1])
+        assert outs[0] != outs[1]
+
+    def test_help_twice(self, capsys, monkeypatch):
+        # A fixed width, so argparse wraps the text alike in both processes.
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = fresh_run(["--help"])
+        assert expected[0] == 0 and expected[1].startswith("usage: braidforge")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out, captured.err) == expected
+
+
 def load_pyproject() -> dict:
     if sys.version_info >= (3, 11):
         import tomllib

@@ -210,6 +210,41 @@ class TestLabelSchemes:
         with pytest.raises(RelationViolated):
             gbraid_from_braid(BraidWord(4, (1,)), scheme)
 
+    def test_verify_compatibility_checks_each_index_once(self):
+        class Counting(LabelScheme):
+            def a(self, s):
+                calls.append(s)
+                return super().a(s)
+
+        for make in SCHEMES.values():
+            base = make(4)
+            scheme = Counting(base.rule, base.m, seed=base.seed, u=base.u)
+            calls = []
+            for max_index in (1, 2, 2, 4, 3):
+                scheme.verify_compatibility(max_index)
+            gbraid_from_braid(BraidWord(7, (1, -6)), scheme)
+            assert calls == [1, 2, 3, 4, 5, 6]
+
+    def test_override_refused_when_first_reached_later(self):
+        # a differs only at index 3: words on up to 3 strands never use it,
+        # and the first longer word is refused, on every call.
+        class OffAtThree(LabelScheme):
+            def a(self, s):
+                label = super().a(s)
+                return label.scale(2) if s == 3 else label
+
+        for make in SCHEMES.values():
+            base = make(4)
+            scheme = OffAtThree(base.rule, base.m, seed=base.seed, u=base.u)
+            gbraid_from_braid(BraidWord(3, (1, -2, 1)), scheme)
+            scheme.verify_compatibility(2)
+            for _ in range(2):
+                with pytest.raises(
+                    RelationViolated,
+                    match=r"^a_3, b_3 or their inverses differ from the labels folded$",
+                ):
+                    gbraid_from_braid(BraidWord(5, (1, 2)), scheme)
+
     def test_verify_compatibility_refuses_consistent_override(self):
         # a_s k and k^-1 b_s satisfy the relation too, but the fold reads
         # the cached labels, so overriding a and b must not pass unseen.

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals and Laurent polynomials."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,55 @@ class TestLaurentArithmetic:
         )
         with pytest.raises(NonUnitDeterminant):
             (T + 1).unit_inverse()
+
+    @given(
+        st.fractions(min_value=-10, max_value=10, max_denominator=7).filter(bool),
+        st.integers(-6, 6),
+        st.integers(-8, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unit_power_matches_repeated_products(self, c, e, n):
+        unit = LaurentPoly.monomial(c, e)
+        factor = unit if n >= 0 else unit.unit_inverse()
+        expected = LaurentPoly.const(1)
+        for _ in range(abs(n)):
+            expected = expected * factor
+        power = unit**n
+        assert power == expected
+        assert repr(power) == repr(expected)
+        assert all(type(x) is Fraction for x in power.coeffs.values())
+
+    def test_unit_power_multiplies_nothing(self, monkeypatch):
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
+        powers = (T**-5, LaurentPoly.monomial(Fraction(-2, 3), 3) ** 7, T**0)
+        monkeypatch.undo()
+        assert calls == []
+        assert powers == (
+            LaurentPoly.monomial(1, -5),
+            LaurentPoly.monomial(Fraction(-128, 2187), 21),
+            LaurentPoly.const(1),
+        )
+
+    def test_non_unit_powers(self):
+        p = T + 1
+        assert p**0 == LaurentPoly.const(1)
+        assert p**3 == p * p * p
+        assert repr(p**2) == "LaurentPoly('1 + 2*T^1 + 1*T^2')"
+        zero = LaurentPoly()
+        assert zero**0 == LaurentPoly.const(1) and (zero**2).is_zero()
+        for x, text in ((p, "LaurentPoly('1 + 1*T^1')"), (zero, "LaurentPoly('0')")):
+            with pytest.raises(
+                NonUnitDeterminant, match=rf"^not a unit of the Laurent ring: {re.escape(text)}$"
+            ):
+                x**-2
 
     def test_exact_division(self):
         num = (T + 1) * (T**-2 - 3)

@@ -142,6 +142,21 @@ def unpaired(t):
     return BraidTensor(t.m, t.ring, t.entries)
 
 
+def count_laurent_products(monkeypatch) -> list:
+    """Wrap LaurentPoly.__mul__ and __rmul__; the returned list gains one
+    item per product until monkeypatch.undo()."""
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
+    return calls
+
+
 small_tensors = st.builds(
     lambda xs: BraidTensor.from_function(
         2, RATIONAL, lambda i1, i2, j1, j2: xs[((i1 * 2 + i2) * 2 + j1) * 2 + j2]
@@ -400,16 +415,28 @@ class TestPartialTraces:
     def test_pair_with_non_scalar_product_fails(self):
         a = RingMatrix(RATIONAL, [[1, 1], [0, 1]])
         t = tensor_from_matrix_pair(a, RingMatrix.identity(RATIONAL, 2))
-        for tensor in (t, BraidTensor(t.m, t.ring, t.entries)):
-            with pytest.raises(NotScalar):
+        # Not cached: the second call raises again.
+        for tensor in (t, BraidTensor(t.m, t.ring, t.entries)) * 2:
+            with pytest.raises(NotScalar, match="^partial trace is not a scalar matrix$"):
                 partial_trace_scalars(tensor)
 
     def test_zero_scalar(self):
         zero = BraidTensor(
             2, RATIONAL, [[[[Fraction(0)] * 2] * 2] * 2] * 2
         )
-        with pytest.raises(ZeroScalar):
-            partial_trace_scalars(zero)
+        for _ in range(2):
+            with pytest.raises(ZeroScalar):
+                partial_trace_scalars(zero)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scalars_computed_once_per_tensor(self, m, monkeypatch):
+        t = standard_tensor(m, 4)
+        first = partial_trace_scalars(t)
+        calls = count_laurent_products(monkeypatch)
+        again = partial_trace_scalars(t)
+        monkeypatch.undo()
+        assert calls == []
+        assert again is first and first == (T, T**-1)
 
 
 class TestSlotOperators:
@@ -660,15 +687,7 @@ class TestIntegerPath:
             # scalars and inverse from its form too.
             assert twin.integer_form.inverse is not None
             assert t.integer_form.inverse is not None
-            calls = []
-            mul = LaurentPoly.__mul__
-
-            def counting(self, other):
-                calls.append(1)
-                return mul(self, other)
-
-            monkeypatch.setattr(LaurentPoly, "__mul__", counting)
-            monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
+            calls = count_laurent_products(monkeypatch)
             scalars, inverse = partial_trace_scalars(twin), tensor_inverse(twin)
             pair_scalars, pair_inverse = partial_trace_scalars(t), tensor_inverse(t)
             monkeypatch.undo()
@@ -717,6 +736,24 @@ class TestLaurentPath:
             expected = contraction_oracle(t, w)
             for route in ("slots", "contract", "dense"):
                 assert tensor_rep_trace(t, w, route) == expected
+
+    def test_trivial_form_inverts_without_products(self, monkeypatch):
+        # A mixed-degree tensor's forms are trivial, so its warm inverse
+        # form's tensor is the inverse itself, pair included.
+        for t in (laurent_shear_pair(), unpaired(laurent_shear_pair())):
+            assert t.integer_form.inverse.tensor.ring is LAURENT
+            calls = count_laurent_products(monkeypatch)
+            inv = tensor_inverse(t)
+            monkeypatch.undo()
+            assert calls == []
+            assert inv == matrix_to_tensor(mat_inverse(tensor_to_matrix(t)), 2)
+            if t.pair is None:
+                assert inv.pair is None
+            else:
+                a, b = t.pair
+                assert inv.pair == (mat_inverse(b), mat_inverse(a))
+            twice = tensor_inverse(inv)
+            assert twice == t and twice.pair == t.pair
 
     def test_pairless_laurent_tensor_matches_oracle(self):
         t = unpaired(laurent_shear_pair())
